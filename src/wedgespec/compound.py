@@ -21,40 +21,46 @@ _CHUNK_ROWS = 512
 
 
 class PairBasis:
-    """Lexicographically ordered index pairs (i, j) with i < j below n."""
+    """Lexicographically ordered index pairs (i, j) with i < j below n.
+
+    Stored as the two read-only ``np.triu_indices`` arrays; the position of
+    a pair is computed, not looked up.
+    """
 
     def __init__(self, n):
         if not isinstance(n, (int, np.integer)) or n < 1:
             raise ValidationError(f"pair basis needs an integer dimension n >= 1, got {n!r}")
         self.n = int(n)
-        self.pairs = tuple((i, j) for i in range(n) for j in range(i + 1, n))
-        self._index = {p: k for k, p in enumerate(self.pairs)}
+        self._first, self._second = np.triu_indices(self.n, 1)
+        self._first.flags.writeable = False
+        self._second.flags.writeable = False
 
     @property
     def size(self):
-        return len(self.pairs)
+        return self._first.size
+
+    @property
+    def pairs(self):
+        return tuple(zip(self._first.tolist(), self._second.tolist()))
 
     def index_of(self, i, j):
         """Position of the pair (i, j), i < j, in lexicographic order."""
-        try:
-            return self._index[(i, j)]
-        except KeyError:
+        if not (isinstance(i, (int, np.integer)) and isinstance(j, (int, np.integer))
+                and 0 <= i < j < self.n):
             raise ValidationError(
                 f"({i}, {j}) is not a valid pair for dimension {self.n}; need 0 <= i < j < n"
-            ) from None
+            )
+        # pairs (i', j') with i' < i come first: (n - 1) + ... + (n - i)
+        return int(i * (2 * self.n - i - 1) // 2 + (j - i - 1))
 
     def pair_at(self, k):
-        if not 0 <= k < len(self.pairs):
-            raise ValidationError(f"pair index {k} out of range for size {len(self.pairs)}")
-        return self.pairs[k]
+        if not 0 <= k < self.size:
+            raise ValidationError(f"pair index {k} out of range for size {self.size}")
+        return int(self._first[k]), int(self._second[k])
 
     def arrays(self):
-        """First and second pair components as integer arrays."""
-        if not self.pairs:
-            z = np.zeros(0, dtype=int)
-            return z, z.copy()
-        p = np.asarray(self.pairs, dtype=int)
-        return p[:, 0], p[:, 1]
+        """First and second pair components as read-only integer arrays."""
+        return self._first, self._second
 
 
 def _check_index_set(idx, n, what):

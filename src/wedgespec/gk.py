@@ -8,6 +8,9 @@ and equals rho(wedge) / lambda1. With several eigenvalues on the circle the
 report distinguishes a complex conjugate pair from a multiple leading
 eigenvalue. Hypothesis failure never aborts the analysis; the spectral
 facts are unconditional and the certificates record what was violated.
+
+rho(wedge) comes from two-column orthogonal iteration on the matrix at every
+size; the exterior square is built and solved only when that stagnates.
 """
 
 from dataclasses import dataclass
@@ -16,12 +19,17 @@ from typing import Optional
 import numpy as np
 
 from . import compound
-from .errors import ConvergenceError, DegeneratePerronError, ValidationError
+from .errors import (
+    ConvergenceError,
+    DegeneratePerronError,
+    ResourceLimitError,
+    ValidationError,
+)
 from .positivity import SignChangeCount, is_two_totally_nonnegative, sign_changes
 from .spectra import (
     DEFAULT_TOL,
     _check_tol,
-    _power_iteration,
+    _orthogonal_iteration,
     as_dense_matrix,
     eigenpairs,
     eigenvalues,
@@ -46,12 +54,6 @@ CLASSIFICATIONS = (
 
 DEFAULT_CIRCLE_TOL = 1e-7
 DEFAULT_RESIDUAL_TOL = 1e-8
-
-# Above this pair-basis dimension the exterior square is not materialized;
-# its radius comes from power iteration on the implicit wedge action.
-WEDGE_DENSE_LIMIT = 1000
-
-_WEDGE_POWER_ITERATIONS = 2000
 
 
 @dataclass(frozen=True)
@@ -93,35 +95,31 @@ class VerificationReport:
     leftovers: tuple  # (square-spectrum side, product side)
 
 
-def _wedge_radius(m, tol):
-    """Spectral radius of the exterior square.
+def _wedge_radius(m):
+    """Spectral radius of the exterior square of ``m``.
 
-    Materializes the pair-basis matrix and solves densely when it fits under
-    the size cap; otherwise runs power iteration on the implicit wedge
-    action m X m^T, which costs O(n^3) per step and never builds the square.
+    Two-column orthogonal iteration on ``m`` (power iteration on the wedge
+    action) from the span of the all-ones vector and 0, 1, ..., n-1, whose
+    wedge has every pair coordinate j - i positive. It converges when
+    |lambda2| > |lambda3|. When it has not converged after 100 n steps, as
+    for a second eigenvalue in a complex pair, the exterior square is solved
+    densely under the cap of ``compound.exterior_square``; above the cap
+    ConvergenceError is raised.
     """
     n = m.shape[0]
-    pair_dim = n * (n - 1) // 2
-    if pair_dim <= WEDGE_DENSE_LIMIT:
-        return spectral_radius(eigenvalues(compound.exterior_square(m), tol))
-    scale = max(float(np.linalg.norm(m)) ** 2, np.finfo(float).tiny)
+    start = np.column_stack([np.ones(n), np.arange(n, dtype=float)])
+    lam, _, ok = _orthogonal_iteration(m, start, 100 * n)
+    if ok:
+        return abs(lam)
     try:
-        lam, _, ok = _power_iteration(
-            lambda w: compound.exterior_apply(m, w),
-            np.ones(pair_dim),
-            tol,
-            _WEDGE_POWER_ITERATIONS,
-            scale,
-        )
-    except DegeneratePerronError:
-        return 0.0
-    if not ok:
+        square = compound.exterior_square(m)
+    except ResourceLimitError:
         raise ConvergenceError(
-            "power iteration on the wedge action stagnated; the exterior "
-            f"square of this {n}x{n} matrix has no dominant-gap radius the "
-            "implicit route can certify"
-        )
-    return abs(lam)
+            "orthogonal iteration for the wedge radius stagnated, and the "
+            f"exterior square of this {n}x{n} matrix is too large to solve "
+            "densely; its wedge spectrum has no dominant eigenvalue"
+        ) from None
+    return spectral_radius(eigenvalues(square))
 
 
 def _real_eigenvector(col, tol):
@@ -165,7 +163,7 @@ def analyze(m, tol=DEFAULT_TOL, circle_tol=DEFAULT_CIRCLE_TOL,
     if m.shape[0] < 2:
         raise ValidationError("analysis needs dimension n >= 2")
     n = m.shape[0]
-    scale = max(1.0, float(np.abs(m).max()))
+    amax = float(np.abs(m).max())
 
     cert1, cert2 = is_two_totally_nonnegative(m, tol, seed=seed)
     hypotheses_ok = cert1.verdict and cert2.verdict
@@ -191,7 +189,7 @@ def analyze(m, tol=DEFAULT_TOL, circle_tol=DEFAULT_CIRCLE_TOL,
                 f"({rho_spec:.12g}) disagree on the spectral radius"
             )
 
-    rho_wedge = _wedge_radius(m, tol)
+    rho_wedge = _wedge_radius(m)
     residual = abs(rho_wedge - lambda1 * float(moduli[1])) / max(1.0, rho_wedge)
 
     def build(classification, lambda2=None, complex_pair=None, s1=None, s2=None,
@@ -212,7 +210,7 @@ def analyze(m, tol=DEFAULT_TOL, circle_tol=DEFAULT_CIRCLE_TOL,
             tolerance=tol,
         )
 
-    if lambda1 <= tol * scale:
+    if lambda1 <= tol * amax:
         return build(CLASS_DEGENERATE)
 
     on_circle = moduli >= lambda1 * (1.0 - circle_tol)
@@ -241,7 +239,7 @@ def analyze(m, tol=DEFAULT_TOL, circle_tol=DEFAULT_CIRCLE_TOL,
                          circle_count=circle_count)
         return build(CLASS_MULTIPLE, circle_count=circle_count)
 
-    wedge_degenerate = rho_wedge <= tol * max(1.0, lambda1) ** 2
+    wedge_degenerate = rho_wedge <= tol * lambda1 ** 2
     if not hypotheses_ok or wedge_degenerate:
         return build(CLASS_VIOLATED, s1=signs1, s2=signs2, circle_count=circle_count)
 

@@ -14,6 +14,10 @@ from .errors import ConvergenceError, DegeneratePerronError, ValidationError
 
 DEFAULT_TOL = 1e-9
 
+# Residual target of _orthogonal_iteration, relative to ||a||_F^k: a few
+# hundred ulps, just above the rounding floor of one step.
+_ITERATION_TARGET = 1e-13
+
 
 def as_dense_matrix(a):
     """Validate and return a square, finite, float64 matrix.
@@ -150,47 +154,66 @@ def spectral_radius(s):
     return float(np.abs(v).max())
 
 
-def _power_iteration(matvec, start, tol, max_iter, scale):
-    """Power iteration returning (estimate, vector, converged).
+def _orthogonal_iteration(a, start, max_iter):
+    """Orthogonal iteration on the span of the k in {1, 2} columns of ``start``.
 
-    ``scale`` sets the residual target ``||Ax - lam x|| <= tol * scale``.
-    Returns converged=False on stagnation; raises DegeneratePerronError if
-    an iterate is annihilated, which for a nonnegative operator and a
-    positive start vector certifies a zero spectral radius.
+    Returns ``(estimate, q, converged)`` with ``q`` orthonormal and
+    ``estimate = det(q^T a q)``. By Cauchy-Binet, (a q1) ^ (a q2) is the
+    wedge action on q1 ^ q2, so for k = 2 this is power iteration on the
+    exterior square at O(n^2) per step, and the estimate is its Rayleigh
+    quotient. It stops when the eigen-residual ``||y - estimate x||`` of that
+    problem is at most ``_ITERATION_TARGET * ||a||_F^k``. With z = a q,
+    b = q^T z, e = z - q b and f_i = b[i, 0] e2 - b[i, 1] e1, the squared
+    residual is ``||f1||^2 + ||f2||^2 + ||e1||^2 ||e2||^2 - (e1.e2)^2``, a sum
+    of orthogonal parts that, unlike ``||y||^2 - estimate^2``, does not
+    cancel; for k = 1 it is ``||e1||^2``. converged is False when the span is
+    still rotating after ``max_iter`` steps.
     """
-    x = start / np.linalg.norm(start)
-    y = matvec(x)
-    lam = 0.0
+    k = start.shape[1]
+    # Residuals in units of ||a||_F, taken without squaring the entries: no
+    # underflow or overflow at any scale, exact under power-of-two scaling.
+    amax = float(np.abs(a).max())
+    unit = amax * float(np.linalg.norm(a / amax)) if amax > 0.0 else 1.0
+    q = np.linalg.qr(start)[0]
+    estimate = 0.0
     for _ in range(max_iter):
-        ny = float(np.linalg.norm(y))
-        if ny == 0.0:
-            raise DegeneratePerronError(
-                "power iteration annihilated a positive vector; "
-                "spectral radius is zero (nilpotent operator)"
+        z = a @ q
+        b = q.T @ z
+        e = (z - q @ b) / unit
+        if k == 1:
+            estimate = float(b[0, 0])
+            residual_sq = float(e[:, 0] @ e[:, 0])
+        else:
+            estimate = float(b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0])
+            e1, e2 = e[:, 0], e[:, 1]
+            f = np.outer(b[:, 0] / unit, e2) - np.outer(b[:, 1] / unit, e1)
+            residual_sq = float(
+                np.sum(f * f) + (e1 @ e1) * (e2 @ e2) - (e1 @ e2) ** 2
             )
-        x = y / ny
-        y = matvec(x)
-        lam = float(x @ y)
-        if float(np.linalg.norm(y - lam * x)) <= tol * scale:
-            return lam, x, True
-    return lam, x, False
+        if residual_sq <= _ITERATION_TARGET ** 2:
+            return estimate, q, True
+        q = np.linalg.qr(z)[0]
+    return estimate, q, False
 
 
 def perron_pair(m, tol=DEFAULT_TOL, max_iter=None):
     """Perron root and a nonnegative unit eigenvector of a nonnegative matrix.
 
-    Power iteration from the all-ones vector, which converges geometrically
-    for primitive matrices. If it stagnates (imprimitive or reducible input)
-    the full dense solve is used as a fallback and a nonnegative eigenvector
-    for the spectral radius is selected from the computed eigenbasis when
-    one exists there.
+    Power iteration (one-column orthogonal iteration) from the all-ones
+    vector, which converges geometrically for primitive matrices, to the
+    fixed residual target ``_ITERATION_TARGET * ||m||_F``. If it stagnates
+    (imprimitive or reducible input) the full dense solve is used as a
+    fallback and a nonnegative eigenvector for the spectral radius is
+    selected from the computed eigenbasis when one exists there.
 
     Parameters
     ----------
     m : array_like
         Square matrix with entries >= -tol; tiny negatives are clipped.
     tol : float
-        Relative residual target and nonnegativity slack.
+        Nonnegativity slack and relative zero threshold: a root at most
+        ``tol * ||m||_F`` counts as zero. It also sets the tolerances of the
+        dense fallback, but not the iteration's residual target.
     max_iter : int, optional
         Iteration cap, default 100 * n.
 
@@ -213,13 +236,14 @@ def perron_pair(m, tol=DEFAULT_TOL, max_iter=None):
         max_iter = 100 * n
     scale = max(float(np.linalg.norm(a)), np.finfo(float).tiny)
 
-    lam, x, ok = _power_iteration(lambda z: a @ z, np.ones(n), tol, max_iter, scale)
+    lam, q, ok = _orthogonal_iteration(a, np.ones((n, 1)), max_iter)
     if ok:
         if lam <= tol * scale:
             raise DegeneratePerronError(
                 f"spectral radius {lam:.3e} is below tol * ||m|| = {tol * scale:.3e}"
             )
-        return lam, x
+        x = q[:, 0]
+        return lam, -x if x.sum() < 0.0 else x
 
     # Stagnation: several eigenvalues share the leading modulus. Solve densely
     # and pick a nonnegative representative for the Perron root.

@@ -35,7 +35,7 @@ class TestAnalyze:
         assert code == 0
         doc = json.loads(out)
         assert doc["lambda1"] == 3.0
-        assert doc["lambda2"] == 2.0
+        assert doc["lambda2"] == pytest.approx(2.0, rel=1e-12)
         assert doc["classification"] == "second_eigenvalue_found"
 
     def test_json_input_format(self, capsys, tmp_path):

@@ -157,8 +157,8 @@ class TestAnalyzeProperties:
         assert r.classification != CLASS_COMPLEX_PAIR
 
     def test_large_matrix_uses_implicit_wedge_route(self):
-        # above the materialization cap the radius comes from power iteration
-        # on the wedge action; cross-check against the dense route on a grid
+        # the radius comes from orthogonal iteration on m, never from the
+        # materialized square; cross-check against the dense route on a grid
         # whose exterior square is entrywise positive
         from wedgespec import builtin_kernel, discretize
         import wedgespec.gk as gkmod
@@ -167,31 +167,96 @@ class TestAnalyzeProperties:
         dense = np.abs(eigenvalues(exterior_square(m, force=True))).max()
         w = np.abs(eigenvalues(m))
         assert dense == pytest.approx(w[0] * w[1], rel=1e-9)
-        old = gkmod.WEDGE_DENSE_LIMIT
-        gkmod.WEDGE_DENSE_LIMIT = 10
-        try:
-            implicit = gkmod._wedge_radius(m, 1e-12)
-        finally:
-            gkmod.WEDGE_DENSE_LIMIT = old
+        implicit = gkmod._wedge_radius(m)
         assert implicit == pytest.approx(dense, rel=1e-9)
 
     def test_implicit_route_refuses_rotating_wedge_spectrum(self):
         # a general matrix whose second eigenvalue is complex puts a conjugate
-        # pair on the wedge spectral circle; the implicit route must refuse
-        # rather than return a bogus radius
+        # pair on the wedge spectral circle; the iteration stagnates, and at
+        # n = 50 the dense fallback is over the size cap, so the route must
+        # refuse rather than return a bogus radius
         import wedgespec.gk as gkmod
 
         rng = np.random.default_rng(1)
         m = rng.uniform(0.5, 1.0, (50, 50))
         w = eigenvalues(m)
         assert abs(w[1].imag) > 1e-8  # complex second eigenvalue
-        old = gkmod.WEDGE_DENSE_LIMIT
-        gkmod.WEDGE_DENSE_LIMIT = 10
-        try:
-            with pytest.raises(ConvergenceError):
-                gkmod._wedge_radius(m, 1e-12)
-        finally:
-            gkmod.WEDGE_DENSE_LIMIT = old
+        with pytest.raises(ConvergenceError):
+            gkmod._wedge_radius(m)
+
+    def test_diagonal_similarity_perron_agreement(self):
+        # power iteration used to stop at tol * ||m||, which left the Perron
+        # root of this non-normal similarity 1.3e-6 off the dense root
+        m = random_oscillatory(4, seed=72)
+        d = 2.0 ** np.random.default_rng(72).uniform(-2.0, 2.0, 4)
+        r1 = analyze(m)
+        r2 = analyze(d[:, None] * m / d[None, :])
+        assert r2.classification == r1.classification == CLASS_SECOND
+        assert r2.lambda1 == pytest.approx(r1.lambda1, rel=1e-9)
+        assert r2.lambda2 == pytest.approx(r1.lambda2, rel=1e-9)
+
+    @pytest.mark.parametrize("c", [1e-6, 2.0 ** -24, 2.0 ** -80, 2.0 ** 40])
+    def test_verdict_survives_positive_scaling(self, c):
+        m = random_oscillatory(6, seed=3)
+        r1, r2 = analyze(m), analyze(c * m)
+        assert r1.classification == r2.classification == CLASS_SECOND
+        assert r2.lambda1 == pytest.approx(c * r1.lambda1, rel=1e-9)
+        assert r2.lambda2 == pytest.approx(c * r1.lambda2, rel=1e-9)
+
+
+def _dense_wedge_radius(m):
+    return float(np.abs(eigenvalues(exterior_square(m))).max())
+
+
+class TestWedgeRadius:
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_matches_dense_square_on_oscillatory(self, n):
+        from wedgespec.gk import _wedge_radius
+
+        m = random_oscillatory(n, seed=7000 + n)
+        assert _wedge_radius(m) == pytest.approx(_dense_wedge_radius(m), rel=1e-10)
+
+    @pytest.mark.parametrize("name", ["green_string", "gaussian", "cauchy"])
+    @pytest.mark.parametrize("n", [44, 46])
+    def test_matches_dense_square_on_kernels(self, name, n):
+        # 44 and 46 sat on either side of the old dense/implicit switch
+        from wedgespec import builtin_kernel, discretize
+        from wedgespec.gk import _wedge_radius
+
+        m = discretize(builtin_kernel(name), n).discretized
+        dense = float(np.abs(eigenvalues(exterior_square(m, force=True))).max())
+        assert _wedge_radius(m) == pytest.approx(dense, rel=1e-10)
+
+    @pytest.mark.parametrize("k", [-40, -8, 2, 40])
+    def test_exact_even_power_of_two_scaling(self, k):
+        from wedgespec.gk import _wedge_radius
+
+        m = random_oscillatory(7, seed=11)
+        c = 2.0 ** k
+        assert _wedge_radius(c * m) == _wedge_radius(m) * c * c
+
+    def test_three_cycle_uses_dense_fallback(self):
+        # every wedge eigenvalue of the 3-cycle has modulus 1, so the
+        # iteration cannot converge and the radius comes from the dense square
+        from wedgespec.gk import _wedge_radius
+        from wedgespec.spectra import _orthogonal_iteration
+
+        start = np.column_stack([np.ones(3), np.arange(3.0)])
+        assert not _orthogonal_iteration(THREE_CYCLE, start, 300)[2]
+        assert _wedge_radius(THREE_CYCLE) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("m", [
+        np.array([[0.0, 1.0], [0.0, 0.0]]),
+        np.triu(np.ones((5, 5)), 1),
+        np.diag([1.0, 0.0, 0.0]),
+        np.outer([1.0, 2.0, 3.0, 4.0], [4.0, 1.0, 0.5, 2.0]),
+    ])
+    def test_zero_radius(self, m):
+        # nilpotent and rank-one inputs: zero up to the rounding of det(q^T m q)
+        from wedgespec.gk import _wedge_radius
+
+        eps = np.finfo(float).eps
+        assert _wedge_radius(m) <= 4 * eps * np.linalg.norm(m) ** 2
 
 
 class TestVerifyTheorem1:
