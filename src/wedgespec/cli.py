@@ -22,7 +22,6 @@ from .errors import (
     ValidationError,
     ZeroVectorError,
 )
-from .spectra import as_dense_matrix
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -32,25 +31,7 @@ EXIT_NUMERICAL = 3
 
 def _load_matrix(path):
     """Read a matrix from CSV (comma-separated rows) or JSON {"data": ...}."""
-    text = open(path, "r", encoding="utf-8").read()
-    if not text.strip():
-        raise ValidationError(f"input file {path} is empty")
-    if str(path).endswith(".json"):
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"bad JSON in {path}: {exc}") from None
-        if not isinstance(doc, dict) or "data" not in doc:
-            raise ValidationError(f'{path} must be a JSON object with a "data" field')
-        return as_dense_matrix(doc["data"])
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    try:
-        table = [[float(x) for x in ln.split(",")] for ln in lines]
-    except ValueError as exc:
-        raise ValidationError(f"bad CSV in {path}: {exc}") from None
-    if len({len(r) for r in table}) != 1:
-        raise ValidationError(f"ragged CSV rows in {path}")
-    return as_dense_matrix(table)
+    return kernel._read_table(path, "data")[0]
 
 
 def _matrix_to_csv(m):

@@ -259,11 +259,24 @@ def analyze(m, tol=DEFAULT_TOL, circle_tol=DEFAULT_CIRCLE_TOL,
                  circle_count=circle_count)
 
 
-def _filtered_match(square_spec, products, rho, tol, theorem):
-    cutoff = tol * rho ** 2
-    lhs = square_spec[np.abs(square_spec) > cutoff]
-    rhs = products[np.abs(products) > cutoff]
-    report = multiset_match(lhs, rhs, tol)
+def _verify_identity(m, tol, force, theorem):
+    """Theorem 1 (Kronecker square) or 2 (exterior square) for ``m``."""
+    m = as_dense_matrix(m)
+    _check_tol(tol)
+    if theorem == 2 and m.shape[0] < 2:
+        raise ValidationError("the exterior-square identity needs n >= 2")
+    base = eigenvalues(m)
+    products = np.multiply.outer(base, base)
+    if theorem == 1:
+        square = compound.tensor_square(m, force=force)
+        products = products.ravel()
+    else:
+        square = compound.exterior_square(m, force=force)
+        products = products[np.triu_indices(base.size, 1)]
+    square_spec = eigenvalues(square)
+    cutoff = tol * spectral_radius(base) ** 2
+    report = multiset_match(square_spec[np.abs(square_spec) > cutoff],
+                            products[np.abs(products) > cutoff], tol)
     return VerificationReport(
         theorem=theorem,
         matched=report.matched,
@@ -279,26 +292,13 @@ def verify_theorem1(m, tol=DEFAULT_RESIDUAL_TOL, force=False):
     Zeros are filtered at tol * rho^2 on both sides before multiset
     matching, since only the nonzero part of the identity is meaningful.
     """
-    m = as_dense_matrix(m)
-    _check_tol(tol)
-    base = eigenvalues(m)
-    square_spec = eigenvalues(compound.tensor_square(m, force=force))
-    products = np.multiply.outer(base, base).ravel()
-    return _filtered_match(square_spec, products, spectral_radius(base), tol, 1)
+    return _verify_identity(m, tol, force, 1)
 
 
 def verify_theorem2(m, tol=DEFAULT_RESIDUAL_TOL, force=False):
     """Check that the exterior square's nonzero spectrum is exactly the
     products over unordered eigenvalue pairs (i < j) of the base matrix."""
-    m = as_dense_matrix(m)
-    _check_tol(tol)
-    if m.shape[0] < 2:
-        raise ValidationError("the exterior-square identity needs n >= 2")
-    base = eigenvalues(m)
-    square_spec = eigenvalues(compound.exterior_square(m, force=force))
-    iu = np.triu_indices(base.size, 1)
-    products = (np.multiply.outer(base, base))[iu]
-    return _filtered_match(square_spec, products, spectral_radius(base), tol, 2)
+    return _verify_identity(m, tol, force, 2)
 
 
 def _complex_to_dict(z):

@@ -8,17 +8,16 @@ and therefore has the same spectrum, while keeping symmetric kernels
 symmetric for the eigensolver.
 """
 
-import csv
 import json
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .compound import _det_stack, exterior_square
+from .compound import exterior_square
 from .errors import ValidationError
-from .positivity import MinorWitness, TNCertificate
-from .spectra import DEFAULT_TOL, _check_tol
+from .positivity import _sample_minors
+from .spectra import DEFAULT_TOL, _check_tol, as_dense_matrix
 
 BUILTIN_NAMES = ("green_string", "gaussian", "cauchy")
 
@@ -89,28 +88,39 @@ def tabulated_kernel(values, nodes=None):
     return KernelSpec(kind="tabulated", nodes=t, values=v)
 
 
-def load_kernel(path):
-    """Read a tabulated kernel from CSV (values only) or JSON (nodes + values)."""
-    text = open(path, "r", encoding="utf-8").read()
+def _read_table(path, field):
+    """Read a square table from a CSV file or from a JSON object's ``field``.
+
+    CSV is one row per line with comma-separated numbers; blank lines are
+    skipped and ragged rows rejected. Returns the validated float64 table
+    and the JSON object (empty for CSV), which may carry further fields.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
     if not text.strip():
-        raise ValidationError(f"kernel file {path} is empty")
+        raise ValidationError(f"input file {path} is empty")
     if str(path).endswith(".json"):
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
-            raise ValidationError(f"bad JSON kernel file {path}: {exc}") from None
-        if not isinstance(doc, dict) or "values" not in doc:
-            raise ValidationError(f'JSON kernel file {path} needs a "values" field')
-        return tabulated_kernel(doc["values"], doc.get("nodes"))
-    rows = [r for r in csv.reader(text.splitlines()) if r]
+            raise ValidationError(f"bad JSON in {path}: {exc}") from None
+        if not isinstance(doc, dict) or field not in doc:
+            raise ValidationError(f'{path} must be a JSON object with a "{field}" field')
+        return as_dense_matrix(doc[field]), doc
+    lines = [ln for ln in text.splitlines() if ln.strip()]
     try:
-        table = [[float(x) for x in r] for r in rows]
+        table = [[float(x) for x in ln.split(",")] for ln in lines]
     except ValueError as exc:
-        raise ValidationError(f"bad CSV kernel file {path}: {exc}") from None
-    widths = {len(r) for r in table}
-    if len(widths) != 1 or len(table) != widths.pop():
-        raise ValidationError(f"CSV kernel file {path} is not a square table")
-    return tabulated_kernel(table)
+        raise ValidationError(f"bad CSV in {path}: {exc}") from None
+    if len({len(r) for r in table}) != 1:
+        raise ValidationError(f"ragged CSV rows in {path}")
+    return as_dense_matrix(table), {}
+
+
+def load_kernel(path):
+    """Read a tabulated kernel from CSV (values only) or JSON (nodes + values)."""
+    values, doc = _read_table(path, "values")
+    return tabulated_kernel(values, doc.get("nodes"))
 
 
 def _implied_nodes(count):
@@ -264,25 +274,9 @@ def kernel_tn_check(spec, sample_nodes, order, trials, seed, tol=DEFAULT_TOL):
             raise ValidationError(
                 f"tabulated kernel has {table.shape[0]} nodes, fewer than order {order}"
             )
-    count = table.shape[0]
-    amax = float(np.abs(table).max())
-
-    worst = None
-    for t in range(int(trials)):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), t)))
-        j = int(rng.integers(1, order + 1))
-        rows = tuple(sorted(rng.choice(count, size=j, replace=False).tolist()))
-        cols = tuple(sorted(rng.choice(count, size=j, replace=False).tolist()))
-        val = float(_det_stack(table[np.ix_(rows, cols)][None, ...])[0])
-        if val < -tol * amax ** j and (worst is None or val < worst.value):
-            worst = MinorWitness(rows=rows, cols=cols, value=val)
-    return TNCertificate(
-        order_checked=order,
-        verdict=worst is None,
-        witness=worst,
-        minors_evaluated=int(trials),
-        mode="sampled",
-    )
+    rngs = (np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), t)))
+            for t in range(int(trials)))
+    return _sample_minors(table, order, rngs, tol)
 
 
 def exterior_grid(grid, force=False):

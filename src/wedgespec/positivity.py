@@ -7,7 +7,7 @@ scaled copies of the same matrix.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
 from math import comb
 from typing import Optional
 
@@ -62,23 +62,68 @@ def _estimated_minors(n, k):
     return sum(comb(n, j) ** 2 for j in range(1, k + 1))
 
 
+def _threshold(amax, j, tol):
+    """The acceptance threshold -tol * amax^j for order-j minors.
+
+    Raises ValidationError when amax^j is not a finite float64: minors of
+    that order overflow too, and no verdict on them would mean anything.
+    """
+    try:
+        return -tol * amax ** j
+    except OverflowError:
+        raise ValidationError(
+            f"order-{j} minors overflow float64 (max |entry| = {amax:g})"
+        ) from None
+
+
 def _order_sweep(m, j, thresh, counter):
     """Scan all order-j minors; return a witness for the worst violation
     in the first offending chunk, or None if all pass."""
     n = m.shape[0]
     col_sets = list(combinations(range(n), j))
     col_ix = np.asarray(col_sets, dtype=int)
-    row_sets = col_sets  # same index family
-    for a in range(0, len(row_sets), max(1, _CHUNK // len(col_sets))):
-        block = row_sets[a : a + max(1, _CHUNK // len(col_sets))]
-        row_ix = np.asarray(block, dtype=int)
-        dets = _det_stack(m[row_ix[:, None, :, None], col_ix[None, :, None, :]])
+    step = max(1, _CHUNK // len(col_sets))
+    for a in range(0, len(col_sets), step):
+        # (chunk, j, sets, j) -> (chunk, sets, j, j): row set, then column set.
+        # np.take copies far faster than a broadcast fancy index, and
+        # gathering per chunk keeps memory at one chunk.
+        sub = np.take(m[col_ix[a : a + step]], col_ix, axis=2)
+        dets = _det_stack(np.moveaxis(sub, 1, 2))
         counter[0] += dets.size
         low = float(dets.min())
         if low < thresh:
             r, c = np.unravel_index(int(np.argmin(dets)), dets.shape)
-            return MinorWitness(rows=tuple(block[r]), cols=col_sets[c], value=low)
+            return MinorWitness(rows=col_sets[a + r], cols=col_sets[c], value=low)
     return None
+
+
+def _sample_minors(table, order, rngs, tol):
+    """Sampled certificate of a square table up to minor order ``order``.
+
+    Each generator in ``rngs`` draws one minor: an order j in 1..order, then
+    increasing row and column sets of length j. The certificate keeps the
+    most negative minor below its threshold as the witness.
+    """
+    count = table.shape[0]
+    amax = float(np.abs(table).max())
+    worst = None
+    evaluated = 0
+    for rng in rngs:
+        j = int(rng.integers(1, order + 1))
+        thresh = _threshold(amax, j, tol)
+        rows = tuple(sorted(rng.choice(count, size=j, replace=False).tolist()))
+        cols = tuple(sorted(rng.choice(count, size=j, replace=False).tolist()))
+        val = float(_det_stack(table[np.ix_(rows, cols)][None, ...])[0])
+        evaluated += 1
+        if val < thresh and (worst is None or val < worst.value):
+            worst = MinorWitness(rows=rows, cols=cols, value=val)
+    return TNCertificate(
+        order_checked=order,
+        verdict=worst is None,
+        witness=worst,
+        minors_evaluated=evaluated,
+        mode="sampled",
+    )
 
 
 def is_totally_nonnegative(m, k, tol=DEFAULT_TOL, budget=MINOR_BUDGET, sample=False,
@@ -113,27 +158,8 @@ def is_totally_nonnegative(m, k, tol=DEFAULT_TOL, budget=MINOR_BUDGET, sample=Fa
     if not isinstance(k, (int, np.integer)) or not 1 <= k <= n:
         raise ValidationError(f"order must satisfy 1 <= k <= n = {n}, got {k!r}")
     k = int(k)
-    amax = float(np.abs(m).max())
-
     if sample:
-        rng = np.random.default_rng(seed)
-        worst = None
-        evaluated = 0
-        for _ in range(int(samples)):
-            j = int(rng.integers(1, k + 1))
-            rows = tuple(sorted(rng.choice(n, size=j, replace=False).tolist()))
-            cols = tuple(sorted(rng.choice(n, size=j, replace=False).tolist()))
-            val = float(_det_stack(m[np.ix_(rows, cols)][None, ...])[0])
-            evaluated += 1
-            if val < -tol * amax ** j and (worst is None or val < worst.value):
-                worst = MinorWitness(rows=rows, cols=cols, value=val)
-        return TNCertificate(
-            order_checked=k,
-            verdict=worst is None,
-            witness=worst,
-            minors_evaluated=evaluated,
-            mode="sampled",
-        )
+        return _sample_minors(m, k, repeat(np.random.default_rng(seed), int(samples)), tol)
 
     estimate = _estimated_minors(n, k)
     if estimate > budget:
@@ -142,24 +168,13 @@ def is_totally_nonnegative(m, k, tol=DEFAULT_TOL, budget=MINOR_BUDGET, sample=Fa
             f"{estimate} determinants, above the budget of {budget}; "
             "use a smaller k or sample=True"
         )
+    amax = float(np.abs(m).max())
     counter = [0]
     for j in range(1, k + 1):
-        witness = _order_sweep(m, j, -tol * amax ** j, counter)
+        witness = _order_sweep(m, j, _threshold(amax, j, tol), counter)
         if witness is not None:
-            return TNCertificate(
-                order_checked=k,
-                verdict=False,
-                witness=witness,
-                minors_evaluated=counter[0],
-                mode="exhaustive",
-            )
-    return TNCertificate(
-        order_checked=k,
-        verdict=True,
-        witness=None,
-        minors_evaluated=counter[0],
-        mode="exhaustive",
-    )
+            break
+    return TNCertificate(k, witness is None, witness, counter[0], "exhaustive")
 
 
 def is_two_totally_nonnegative(m, tol=DEFAULT_TOL, budget=MINOR_BUDGET,
@@ -180,40 +195,19 @@ def is_two_totally_nonnegative(m, tol=DEFAULT_TOL, budget=MINOR_BUDGET,
     amax = float(np.abs(m).max())
 
     lo = float(m.min())
-    if lo < -tol * amax:
+    if lo < _threshold(amax, 1, tol):
         i, j = np.unravel_index(int(np.argmin(m)), m.shape)
         cert1 = TNCertificate(1, False, MinorWitness((int(i),), (int(j),), lo),
                               n * n, "exhaustive")
     else:
         cert1 = TNCertificate(1, True, None, n * n, "exhaustive")
 
-    pair_count = comb(n, 2) ** 2
-    if pair_count > budget:
-        cert2 = is_totally_nonnegative(m, 2, tol, sample=True, samples=samples, seed=seed)
-        cert2 = TNCertificate(2, cert2.verdict, cert2.witness,
-                              cert2.minors_evaluated, "sampled")
-        return cert1, cert2
-
-    thresh = -tol * amax ** 2
-    pairs = list(combinations(range(n), 2))
-    p = np.asarray(pairs, dtype=int)
-    pi, pj = p[:, 0], p[:, 1]
-    evaluated = 0
-    witness = None
-    step = max(1, _CHUNK // len(pairs))
-    for a in range(0, len(pairs), step):
-        sl = slice(a, min(a + step, len(pairs)))
-        dets = m[pi[sl, None], pi[None, :]] * m[pj[sl, None], pj[None, :]] - m[
-            pi[sl, None], pj[None, :]
-        ] * m[pj[sl, None], pi[None, :]]
-        evaluated += dets.size
-        low = float(dets.min())
-        if low < thresh:
-            r, c = np.unravel_index(int(np.argmin(dets)), dets.shape)
-            witness = MinorWitness(rows=pairs[a + r], cols=pairs[c], value=low)
-            break
-    cert2 = TNCertificate(2, witness is None, witness, evaluated, "exhaustive")
-    return cert1, cert2
+    if comb(n, 2) ** 2 > budget:
+        return cert1, is_totally_nonnegative(m, 2, tol, sample=True, samples=samples,
+                                             seed=seed)
+    counter = [0]
+    witness = _order_sweep(m, 2, _threshold(amax, 2, tol), counter)
+    return cert1, TNCertificate(2, witness is None, witness, counter[0], "exhaustive")
 
 
 def sign_changes(v, tol=DEFAULT_TOL):

@@ -74,11 +74,13 @@ def sort_spectrum(values):
     resulting order is total for any fixed value multiset.
     """
     v = np.asarray(values, dtype=complex).ravel()
-    if v.size == 0:
-        return v
+    return v[_spectrum_order(v)]
+
+
+def _spectrum_order(v):
+    """Permutation that puts the values ``v`` in canonical spectrum order."""
     canon = (v.real + 0.0) + 1j * (v.imag + 0.0)  # fold -0.0 into +0.0
-    order = np.lexsort((np.angle(canon), -np.abs(canon)))
-    return v[order]
+    return np.lexsort((np.angle(canon), -np.abs(canon)))
 
 
 def _solver_failure(m, exc):
@@ -135,8 +137,7 @@ def eigenpairs(m, tol=DEFAULT_TOL):
         w, v = np.linalg.eig(m)
     except np.linalg.LinAlgError as exc:
         raise _solver_failure(m, exc) from None
-    canon = (w.real + 0.0) + 1j * (w.imag + 0.0)
-    order = np.lexsort((np.angle(canon), -np.abs(canon)))
+    order = _spectrum_order(w)
     w, v = w[order], v[:, order]
     scale = max(float(np.linalg.norm(m)), np.finfo(float).tiny)
     residuals = np.linalg.norm(m @ v - v * w[None, :], axis=0)

@@ -27,6 +27,7 @@ from wedgespec import (
     verify_theorem1,
     verify_theorem2,
 )
+from wedgespec.cli import _trial_matrix
 from wedgespec.gk import (
     CLASS_COMPLEX_PAIR,
     CLASS_DEGENERATE,
@@ -40,14 +41,6 @@ THREE_CYCLE = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 def _criterion(num, name, ok, detail=""):
     print(f"[criterion {num}] {name}: {'PASS' if ok else 'FAIL'} {detail}".rstrip())
     assert ok, f"criterion {num} ({name}) failed: {detail}"
-
-
-def _trial_matrix(n, seed, index):
-    """Half totally nonnegative products, half general Gaussian draws."""
-    derived = seed * 1_000_003 + index
-    if index % 2 == 0:
-        return random_tn(n, derived, factors=3 * n)
-    return np.random.default_rng(derived).standard_normal((n, n))
 
 
 def test_criterion_1_exterior_square_spectrum_identity():

@@ -63,6 +63,14 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", str(path))
         assert code == 2
 
+    def test_overflowing_minors_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "huge.csv"
+        m = 2.0 ** 600 * random_oscillatory(6, seed=3)
+        path.write_text("\n".join(",".join(repr(float(x)) for x in row) for row in m) + "\n")
+        code, out, err = run(capsys, "analyze", str(path))
+        assert (code, out) == (2, "")
+        assert "order-2 minors overflow float64" in err
+
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run(capsys, "analyze", "/no/such/file.csv")
         assert code == 2
@@ -96,7 +104,7 @@ class TestCompound:
     def test_cap_exit_2(self, capsys, tmp_path):
         path = tmp_path / "big.csv"
         m = np.eye(40)
-        path.write_text("\n".join(",".join(repr(x) for x in row) for row in m) + "\n")
+        path.write_text("\n".join(",".join(repr(float(x)) for x in row) for row in m) + "\n")
         code, _, err = run(capsys, "compound", str(path), "--order", "4")
         assert code == 2
         assert "cap" in err
@@ -128,6 +136,32 @@ class TestTnCheck:
         assert doc["witness"]["value"] == -1.0
         assert doc["mode"] == "exhaustive"
 
+    def test_sampled_violation_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "anti.csv"
+        path.write_text("0.0,1.0\n1.0,0.0\n")
+        args = ("tn-check", str(path), "--order", "2", "--sample")
+        code, out, _ = run(capsys, *args)
+        assert code == 1
+        assert out == (
+            "tn_check: order 2 verdict VIOLATED (200 minors, sampled)\n"
+            "tn_check witness: rows [0, 1] cols [0, 1] value -1.0\n"
+        )
+        code, out, _ = run(capsys, *args, "--format", "json")
+        assert code == 1
+        doc = json.loads(out)
+        assert (doc["verdict"], doc["mode"], doc["minors_evaluated"]) == (False, "sampled", 200)
+        assert doc["witness"] == {"rows": [0, 1], "cols": [0, 1], "value": -1.0}
+
+    def test_sampled_pass_exit_0(self, capsys, diag_csv):
+        args = ("tn-check", diag_csv, "--order", "3", "--sample")
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        assert out == "tn_check: order 3 verdict ok (200 minors, sampled)\n"
+        code, out, _ = run(capsys, *args, "--format", "json")
+        assert code == 0
+        assert json.loads(out) == {"order_checked": 3, "verdict": True, "witness": None,
+                                   "minors_evaluated": 200, "mode": "sampled"}
+
 
 class TestKernel:
     def test_green_small_grid(self, capsys):
@@ -156,6 +190,13 @@ class TestKernel:
         doc = json.loads(out)
         assert doc["analysis"]["rho_wedge"] <= 1e-12
         assert doc["analysis"]["classification"] == "hypotheses_violated"
+
+    def test_ragged_json_table_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "ragged.json"
+        path.write_text(json.dumps({"values": [[1.0, 0.5], [0.5]]}))
+        code, _, err = run(capsys, "kernel", "--file", str(path), "--grid", "2")
+        assert code == 2
+        assert err.startswith("error:")
 
     def test_gaussian_with_param(self, capsys):
         code, out, _ = run(capsys, "kernel", "--name", "gaussian", "--param", "0.5",

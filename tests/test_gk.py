@@ -204,6 +204,11 @@ class TestAnalyzeProperties:
         assert r2.lambda2 == pytest.approx(c * r1.lambda2, rel=1e-9)
 
 
+    def test_overflowing_minors_are_an_input_error(self):
+        with pytest.raises(ValidationError, match="order-2 minors overflow"):
+            analyze(2.0 ** 600 * random_oscillatory(6, seed=3))
+
+
 def _dense_wedge_radius(m):
     return float(np.abs(eigenvalues(exterior_square(m))).max())
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from wedgespec import (
+    TNCertificate,
     ValidationError,
     builtin_kernel,
     compound_matrix,
@@ -22,6 +23,7 @@ from wedgespec import (
     tabulated_kernel,
 )
 from wedgespec.kernel import CAUCHY_SHIFT, kernel_value
+from wedgespec.positivity import MinorWitness
 
 GREEN = builtin_kernel("green_string")
 
@@ -200,6 +202,15 @@ class TestKernelTNCheck:
         cert = kernel_tn_check(tabulated_kernel(table), 40, 2, 500, seed=0)
         assert not cert.verdict
         assert cert.witness is not None and cert.witness.value < 0
+
+    def test_cosine_draw_stream_pinned(self):
+        # exact certificate: any change to the per-trial draw stream fails here
+        t = (np.arange(40) + 0.5) / 40
+        table = np.cos(np.pi * (t[:, None] - t[None, :]))
+        cert = kernel_tn_check(tabulated_kernel(table), 40, 2, 500, seed=0)
+        assert cert == TNCertificate(2, False, MinorWitness((0,), (38,), table[0, 38]),
+                                     500, "sampled")
+        assert table[0, 38] == pytest.approx(-0.9876883405951377, abs=1e-15)
 
     def test_deterministic_per_seed(self):
         a = kernel_tn_check(GREEN, 32, 2, 50, seed=9)

@@ -1,21 +1,28 @@
 """Total-nonnegativity certificates, sign counting, and matrix generators."""
 
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
 
 from wedgespec import (
     ResourceLimitError,
+    TNCertificate,
     ValidationError,
     ZeroVectorError,
+    builtin_kernel,
+    compound_matrix,
+    discretize,
     eigenvalues,
     is_totally_nonnegative,
     is_two_totally_nonnegative,
+    minor,
     random_oscillatory,
     random_tn,
     sign_changes,
 )
+from wedgespec.positivity import MinorWitness
 from tests.test_compound import det_laplace
 
 
@@ -114,6 +121,82 @@ class TestTwoTotallyNonnegative:
         c1, c2 = is_two_totally_nonnegative(m, budget=10_000, samples=200, seed=1)
         assert c1.mode == "exhaustive"
         assert c2.mode == "sampled"
+
+
+class TestOrderTwoOracle:
+    """The exhaustive order-2 certificate against the full second compound."""
+
+    @staticmethod
+    def _plant(m, i, depth):
+        # lower m[i+1, i+1] so the contiguous minor at rows/cols (i, i+1)
+        # becomes -depth * amax^2
+        p = m.copy()
+        amax = float(np.abs(m).max())
+        p[i + 1, i + 1] = (m[i, i + 1] * m[i + 1, i] - depth * amax ** 2) / m[i, i]
+        return p
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_verdict_and_witness_match_compound(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 41))
+        tn = random_tn(n, seed, factors=3 * n)
+        planted = self._plant(tn, int(rng.integers(0, n - 1)), 5e-8)
+        for m in (tn, planted, rng.uniform(0.5, 1.0, (n, n))):
+            _, cert = is_two_totally_nonnegative(m)
+            thresh = -1e-9 * float(np.abs(m).max()) ** 2
+            assert cert.mode == "exhaustive"
+            assert cert.verdict == (compound_matrix(m, 2).min() >= thresh)
+            if not cert.verdict:
+                w = cert.witness
+                assert w.value == minor(m, w.rows, w.cols) < thresh
+        assert not is_two_totally_nonnegative(planted)[1].verdict
+
+    def test_green_80_counts_every_minor(self):
+        g = discretize(builtin_kernel("green_string"), 80).discretized
+        _, cert = is_two_totally_nonnegative(g)
+        assert cert.verdict and cert.mode == "exhaustive"
+        assert cert.minors_evaluated == comb(80, 2) ** 2 == 9_985_600
+        planted = self._plant(g, 40, 5e-8)
+        _, cert = is_two_totally_nonnegative(planted)
+        assert not cert.verdict
+        w = cert.witness
+        assert w.value == minor(planted, w.rows, w.cols) < 0
+
+
+class TestPinnedDrawStreams:
+    """Exact sampled certificates: any change to a draw stream fails here."""
+
+    def test_sampled_three_cycle(self):
+        cert = is_totally_nonnegative(THREE_CYCLE, 2, sample=True, samples=300, seed=0)
+        assert cert == TNCertificate(2, False, MinorWitness((0, 2), (1, 2), -1.0),
+                                     300, "sampled")
+
+    def test_order_two_above_budget(self):
+        m = np.random.default_rng(0).uniform(0.5, 1.0, (80, 80))
+        _, cert = is_two_totally_nonnegative(m, budget=10_000, seed=1)
+        witness = MinorWitness((16, 54), (48, 56), -0.6301252302753839)
+        assert cert == TNCertificate(2, False, witness, 2000, "sampled")
+        assert witness.value == minor(m, witness.rows, witness.cols)
+
+
+class TestOverflow:
+    """Minors whose scale amax^j is not a finite float64 are refused."""
+
+    M = random_oscillatory(6, seed=3)
+
+    def test_exhaustive(self):
+        with pytest.raises(ValidationError, match="order-5 minors overflow float64"):
+            is_totally_nonnegative(2.0 ** 200 * self.M, 6)
+
+    def test_sampled(self):
+        with pytest.raises(ValidationError, match="minors overflow float64"):
+            is_totally_nonnegative(2.0 ** 200 * self.M, 6, sample=True)
+
+    def test_order_two(self):
+        with pytest.raises(ValidationError, match="order-2 minors overflow"):
+            is_two_totally_nonnegative(2.0 ** 600 * self.M)
+        with pytest.raises(ValidationError, match="order-2 minors overflow"):
+            is_two_totally_nonnegative(2.0 ** 600 * self.M, budget=10)
 
 
 class TestSignChanges:
