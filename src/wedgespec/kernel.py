@@ -71,19 +71,18 @@ def tabulated_kernel(values, nodes=None):
     Without explicit nodes the samples are read as living on the uniform
     midpoint grid t_i = (i + 1/2) / N.
     """
-    v = np.asarray(values, dtype=float)
-    if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] < 1:
-        raise ValidationError(f"tabulated kernel must be square, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValidationError("tabulated kernel contains NaN or Inf")
+    v = as_dense_matrix(values)
     t = None
     if nodes is not None:
-        t = np.asarray(nodes, dtype=float).ravel()
+        try:
+            t = np.asarray(nodes, dtype=float).ravel()
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"kernel nodes must be real numbers: {exc}") from None
         if t.size != v.shape[0]:
             raise ValidationError(
                 f"got {t.size} nodes for a {v.shape[0]}x{v.shape[0]} table"
             )
-        if np.any(np.diff(t) <= 0) or t[0] <= 0.0 or t[-1] >= 1.0:
+        if not (np.all(np.diff(t) > 0) and 0.0 < t[0] and t[-1] < 1.0):  # NaN fails
             raise ValidationError("nodes must be strictly increasing inside (0, 1)")
     return KernelSpec(kind="tabulated", nodes=t, values=v)
 

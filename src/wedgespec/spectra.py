@@ -51,12 +51,16 @@ def as_dense_matrix(a):
 
 
 def require_nonnegative(m, tol):
-    """Raise unless every entry of ``m`` is >= -tol."""
+    """Raise unless every entry of ``m`` is >= -tol * max|m|.
+
+    The slack scales with the matrix, as in the order-1 certificate of
+    ``positivity``, so a positive multiple of ``m`` passes or fails with it.
+    """
     lo = float(m.min())
-    if lo < -tol:
+    if lo < -tol * float(np.abs(m).max()):
         i, j = np.unravel_index(int(np.argmin(m)), m.shape)
         raise ValidationError(
-            f"matrix is not entrywise nonnegative within tol={tol:g}: "
+            f"matrix is not entrywise nonnegative within tol={tol:g} * max|m|: "
             f"entry ({i},{j}) = {lo:g}"
         )
 
@@ -210,9 +214,10 @@ def perron_pair(m, tol=DEFAULT_TOL, max_iter=None):
     Parameters
     ----------
     m : array_like
-        Square matrix with entries >= -tol; tiny negatives are clipped.
+        Square matrix with entries >= -tol * max|m|; these tiny negatives are
+        clipped.
     tol : float
-        Nonnegativity slack and relative zero threshold: a root at most
+        Relative nonnegativity slack and zero threshold: a root at most
         ``tol * ||m||_F`` counts as zero. It also sets the tolerances of the
         dense fallback, but not the iteration's residual target.
     max_iter : int, optional
@@ -294,12 +299,14 @@ class MatchReport:
 
 
 def multiset_match(a, b, tol):
-    """Greedy nearest-neighbor matching of two spectra in sorted order.
+    """Match two spectra as multisets within ``tol * max(1, max modulus)``.
 
-    Walks ``a`` in canonical (modulus-descending) order and pairs each value
-    with the nearest unmatched value of ``b`` provided the distance is at
-    most ``tol * max(1, max modulus)``. Success requires equal cardinality
-    and no leftovers.
+    A greedy pass walks ``a`` in canonical (modulus-descending) order and
+    pairs each value with the nearest unmatched value of ``b`` within that
+    threshold. Where it leaves values unmatched on both sides, augmenting
+    paths over all pairs within the threshold complete it to a matching of
+    maximum size, so a pairing within the threshold is found whenever one
+    exists. Success requires equal cardinality and no leftovers.
     """
     _check_tol(tol)
     av = sort_spectrum(np.asarray(a, dtype=complex))
@@ -312,31 +319,62 @@ def multiset_match(a, b, tol):
         )
     thresh = tol * max(1.0, top)
 
-    free = np.ones(bv.size, dtype=bool)
-    pairs = []
-    leftover_a = []
-    worst = 0.0
-    for x in av:
-        if not free.any():
-            leftover_a.append(complex(x))
-            continue
-        idx = np.flatnonzero(free)
-        dist = np.abs(bv[idx] - x)
-        k = int(idx[np.argmin(dist)])
-        d = float(abs(bv[k] - x))
-        if d <= thresh:
-            free[k] = False
-            pairs.append((complex(x), complex(bv[k])))
-            worst = max(worst, d)
-        else:
-            leftover_a.append(complex(x))
-    leftover_b = [complex(z) for z in bv[free]]
+    partner = np.full(av.size, -1)  # index into bv, -1 when unmatched
+    owner = np.full(bv.size, -1)  # index into av, -1 when unmatched
+    for i, x in enumerate(av):
+        idx = np.flatnonzero(owner < 0)
+        if idx.size:
+            k = int(idx[np.argmin(np.abs(bv[idx] - x))])
+            if abs(bv[k] - x) <= thresh:
+                partner[i], owner[k] = k, i
+    if (partner < 0).any() and (owner < 0).any():
+        _augment(av, bv, thresh, partner, owner)
+
+    hit = np.flatnonzero(partner >= 0)
+    pairs = tuple((complex(av[i]), complex(bv[partner[i]])) for i in hit)
+    worst = max((float(abs(bv[partner[i]] - av[i])) for i in hit), default=0.0)
+    leftover_a = [complex(z) for z in av[partner < 0]]
+    leftover_b = [complex(z) for z in bv[owner < 0]]
     matched = not leftover_a and not leftover_b and av.size == bv.size
     return MatchReport(
         matched=matched,
-        pairs=tuple(pairs),
+        pairs=pairs,
         max_residual=worst,
         leftover_a=tuple(leftover_a),
         leftover_b=tuple(leftover_b),
         tolerance=thresh,
     )
+
+
+def _augment(av, bv, thresh, partner, owner):
+    """Grow the matching ``partner``/``owner`` in place to maximum size.
+
+    For each unmatched value of ``av``, a depth-first search over pairs within
+    ``thresh`` looks for an alternating path to an unmatched value of ``bv``
+    and flips it (Kuhn's algorithm). Neighbour lists are built on demand.
+    """
+    cache = {}
+
+    def near(i):
+        if i not in cache:
+            cache[i] = np.flatnonzero(np.abs(bv - av[i]) <= thresh)
+        return iter(cache[i])
+
+    for root in np.flatnonzero(partner < 0):
+        seen = np.zeros(bv.size, dtype=bool)
+        stack = [(root, near(root))]
+        via = []  # via[d] leads from stack[d] to stack[d + 1]
+        while stack:
+            k = next((k for k in stack[-1][1] if not seen[k]), None)
+            if k is None:
+                stack.pop()
+                if via:
+                    via.pop()
+                continue
+            seen[k] = True
+            if owner[k] < 0:
+                for (i, _), kk in zip(stack, via + [k]):
+                    partner[i], owner[kk] = kk, i
+                break
+            via.append(k)
+            stack.append((owner[k], near(owner[k])))

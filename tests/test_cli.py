@@ -198,6 +198,14 @@ class TestKernel:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("nodes", [[0.2, "x"], [0.2, None]])
+    def test_bad_nodes_exit_2(self, capsys, tmp_path, nodes):
+        path = tmp_path / "nodes.json"
+        path.write_text(json.dumps({"values": [[1.0, 0.5], [0.5, 1.0]], "nodes": nodes}))
+        code, _, err = run(capsys, "kernel", "--file", str(path), "--grid", "2")
+        assert code == 2
+        assert err.startswith("error:")
+
     def test_gaussian_with_param(self, capsys):
         code, out, _ = run(capsys, "kernel", "--name", "gaussian", "--param", "0.5",
                            "--grid", "40", "--trials", "50", "--format", "json")

@@ -209,6 +209,120 @@ class TestAnalyzeProperties:
             analyze(2.0 ** 600 * random_oscillatory(6, seed=3))
 
 
+TINY_NEGATIVE = np.array([[2.0, 1.0, -1e-12], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
+
+
+def _bipartite(half):
+    # eigenvalues come in pairs +-s over the singular values s of b
+    b = np.random.default_rng(0).uniform(0.5, 1.0, (half, half))
+    z = np.zeros((half, half))
+    return np.block([[z, b], [b.T, z]])
+
+
+@pytest.fixture
+def iterations(monkeypatch):
+    """Wrap gk._orthogonal_iteration; record steps and outcomes by column count."""
+    import wedgespec.gk as gkmod
+
+    inner = gkmod._orthogonal_iteration
+    steps = {1: 0, 2: 0}
+    converged = {1: [], 2: []}
+
+    class Counting(np.ndarray):
+        def __matmul__(self, other):  # one product a @ q per step
+            steps[other.shape[1]] += 1
+            return np.asarray(self) @ other
+
+    def counted(a, start, max_iter):
+        result = inner(np.asarray(a).view(Counting), start, max_iter)
+        converged[start.shape[1]].append(result[2])
+        return result
+
+    monkeypatch.setattr(gkmod, "_orthogonal_iteration", counted)
+    return steps, converged
+
+
+class TestIterationGates:
+    def test_bipartite_runs_no_perron_iteration(self, iterations):
+        steps, converged = iterations
+        r = analyze(_bipartite(20))
+        assert r.classification == CLASS_MULTIPLE and r.circle_count == 2
+        assert steps[1] == 0
+        assert converged[2] == [True]
+
+    def test_three_cycle_runs_no_iteration(self, iterations):
+        steps, _ = iterations
+        r = analyze(THREE_CYCLE)
+        assert r.classification == CLASS_COMPLEX_PAIR
+        assert r.rho_wedge == pytest.approx(1.0, rel=1e-12)
+        assert steps == {1: 0, 2: 0}
+
+    def test_complex_second_eigenvalue_skips_wedge_iteration(self, iterations):
+        steps, converged = iterations
+        m = np.random.default_rng(1).uniform(0.5, 1.0, (40, 40))
+        r = analyze(m)
+        assert abs(r.spectrum[1].imag) > 1e-8
+        assert steps[2] == 0
+        assert converged[1] == [True]
+        assert r.rho_wedge == pytest.approx(_dense_wedge_radius(m), rel=1e-12)
+
+    def test_complex_second_eigenvalue_above_the_cap_refused(self, iterations):
+        steps, _ = iterations
+        m = np.random.default_rng(1).uniform(0.5, 1.0, (50, 50))
+        with pytest.raises(ConvergenceError, match="too large to solve densely"):
+            analyze(m)
+        assert steps[2] == 0
+
+    def test_green_converges_through_both_loops(self, iterations):
+        from wedgespec import builtin_kernel, discretize
+
+        steps, converged = iterations
+        r = analyze(discretize(builtin_kernel("green_string"), 50).discretized)
+        assert r.classification == CLASS_SECOND
+        assert converged == {1: [True], 2: [True]}
+        assert 0 < steps[1] < 100 * 50 and 0 < steps[2] < 100 * 50
+
+    @pytest.mark.parametrize("n, seed", [(3, 0), (5, 1), (8, 2), (10, 3)])
+    def test_oscillatory_converges_through_both_loops(self, iterations, n, seed):
+        steps, converged = iterations
+        r = analyze(random_oscillatory(n, seed=seed))
+        assert r.classification == CLASS_SECOND
+        assert converged == {1: [True], 2: [True]}
+
+    def test_perron_disagreement_is_refused(self, monkeypatch):
+        import wedgespec.gk as gkmod
+
+        inner = gkmod._orthogonal_iteration
+
+        def off(a, start, max_iter):
+            lam, q, ok = inner(a, start, max_iter)
+            return (lam * (1 + 2e-6) if start.shape[1] == 1 else lam), q, ok
+
+        monkeypatch.setattr(gkmod, "_orthogonal_iteration", off)
+        with pytest.raises(ConvergenceError, match="disagree on the spectral radius"):
+            analyze(TRIDIAG)
+
+    def test_unconverged_perron_iteration_checks_nothing(self, monkeypatch):
+        import wedgespec.gk as gkmod
+
+        inner = gkmod._orthogonal_iteration
+        expected = analyze(TRIDIAG)
+
+        def stalled(a, start, max_iter):
+            lam, q, ok = inner(a, start, max_iter)
+            return (lam + 1.0, q, False) if start.shape[1] == 1 else (lam, q, ok)
+
+        monkeypatch.setattr(gkmod, "_orthogonal_iteration", stalled)
+        assert analyze(TRIDIAG) == expected
+
+    @pytest.mark.parametrize("k", [20, -30])
+    def test_tiny_negative_entry_keeps_its_verdict(self, k):
+        # -1e-12 is inside the nonnegativity slack tol * max|m| at every scale
+        r1, r2 = analyze(TINY_NEGATIVE), analyze(2.0 ** k * TINY_NEGATIVE)
+        assert r1.classification == r2.classification == CLASS_SECOND
+        assert r2.lambda1 == pytest.approx(2.0 ** k * r1.lambda1, rel=1e-12)
+
+
 def _dense_wedge_radius(m):
     return float(np.abs(eigenvalues(exterior_square(m))).max())
 

@@ -137,6 +137,22 @@ class TestDiscretize:
         assert abs(g.weights.sum() - 1.0) <= 1e-12
         np.testing.assert_allclose(g.weights, [0.2, 0.35, 0.45])
 
+    @pytest.mark.parametrize("values, nodes", [
+        ([[1.0, 0.5], [0.5, 1.0]], [0.2, "x"]),
+        ([[1.0, 0.5], [0.5, 1.0]], [0.2, [0.5]]),
+        ([[1.0, 0.5], [0.5, 1.0]], {"a": 0.2}),
+        ([[1.0, "y"], [0.5, 1.0]], None),
+        ([[1.0, [0.5]], [0.5, 1.0]], None),
+    ])
+    def test_non_numeric_table_is_an_input_error(self, values, nodes):
+        with pytest.raises(ValidationError, match="must be real numbers"):
+            tabulated_kernel(values, nodes)
+
+    @pytest.mark.parametrize("nodes", [[0.2, None], [float("nan"), 0.5]])
+    def test_nan_node_rejected(self, nodes):
+        with pytest.raises(ValidationError, match="strictly increasing"):
+            tabulated_kernel([[1.0, 0.5], [0.5, 1.0]], nodes)
+
     def test_trapezoid_string_eigenvalues_still_converge(self):
         # the endpoint rows vanish for this kernel, shifting two eigenvalues
         # to zero without disturbing the leading ones

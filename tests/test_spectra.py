@@ -119,6 +119,14 @@ class TestPerronPair:
         with pytest.raises(ValidationError):
             perron_pair([[1.0, -1.0], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("k", [0, 20, -30])
+    def test_negative_slack_scales_with_the_matrix(self, k):
+        # -1e-12 is inside the nonnegativity slack tol * max|m| at every scale
+        m = np.array([[2.0, 1.0, -1e-12], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
+        lam, v = perron_pair(2.0 ** k * m)
+        assert lam == pytest.approx(2.0 ** k * spectral_radius(eigenvalues(m)), rel=1e-12)
+        assert v.min() >= 0.0
+
     def test_imprimitive_fallback(self):
         # A^2 = I, eigenvalues +-1; power iteration stagnates and the dense
         # fallback must still produce the nonnegative eigenvector of +1.
@@ -164,6 +172,30 @@ class TestMultisetMatch:
         rep = multiset_match([1.0], [1.1], tol=1e-3)
         assert not rep.matched
         assert rep.leftover_a and rep.leftover_b
+
+
+    def test_augmenting_path_completes_greedy(self):
+        # greedy pairs 1+0.5t with 1+0.4t first and strands 1-0.55t; the
+        # pairing 1+0.5t -> 1+1.4t (0.9t), 1-0.55t -> 1+0.4t (0.95t) is within t
+        t = 1e-3
+        rep = multiset_match([1 + 0.5 * t, 1 - 0.55 * t], [1 + 0.4 * t, 1 + 1.4 * t], tol=t)
+        assert rep.matched
+        assert rep.leftover_a == rep.leftover_b == ()
+        assert sorted(rep.pairs, key=lambda p: p[0].real) == [
+            (1 - 0.55 * t, 1 + 0.4 * t), (1 + 0.5 * t, 1 + 1.4 * t)]
+        assert rep.max_residual == pytest.approx(0.95 * t, rel=1e-9)
+
+    def test_maximum_matching_leaves_only_unmatchable(self):
+        # the same pair of overlaps plus a value on each side that matches
+        # nothing: the overlaps are paired and only the far values are left
+        t = 1e-3
+        a = [1 + 0.5 * t, 1 - 0.55 * t, 1 - 5 * t]
+        b = [1 + 0.4 * t, 1 + 1.4 * t, 1 + 5 * t]
+        rep = multiset_match(a, b, tol=t)
+        assert not rep.matched
+        assert len(rep.pairs) == 2
+        assert rep.leftover_a == (1 - 5 * t + 0j,)
+        assert rep.leftover_b == (1 + 5 * t + 0j,)
 
 
 def test_sort_spectrum_total_order():
