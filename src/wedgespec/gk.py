@@ -9,14 +9,10 @@ report distinguishes a complex conjugate pair from a multiple leading
 eigenvalue. Hypothesis failure never aborts the analysis; the spectral
 facts are unconditional and the certificates record what was violated.
 
-Two orthogonal iterations on the matrix cross-check the dense spectrum, which
-first decides whether each can converge. Power iteration from the all-ones
-vector checks lambda1 (within 1e-6 lambda1) when the order-1 certificate
-holds, lambda1 > tol * max|m| and only lambda1 sits on the spectral circle.
-Two-column iteration gives rho(wedge) unless two values share the wedge
-circle: a lambda_j, j >= 3, with |lambda_j| >= |lambda2| (1 - circle_tol) and
-|lambda_j - lambda2| > circle_tol * lambda1. Then, or when the iteration
-stagnates, the exterior square is solved densely.
+rho(wedge) comes from two-column orthogonal iteration on the matrix at every
+size; the exterior square is built and solved only when that stagnates.
+lambda1 comes from the dense solve; for nonnegative input, power iteration
+from the all-ones vector checks it when it converges.
 """
 
 from dataclasses import dataclass
@@ -95,28 +91,27 @@ class VerificationReport:
     leftovers: tuple  # (square-spectrum side, product side)
 
 
-def _wedge_radius(m, iterate=True):
+def _wedge_radius(m):
     """Spectral radius of the exterior square of ``m``.
 
     Two-column orthogonal iteration on ``m`` (power iteration on the wedge
     action) from the span of the all-ones vector and 0, 1, ..., n-1, whose
-    wedge has every pair coordinate j - i positive. It converges when one
-    value holds the wedge circle. When it has not converged after 100 n steps,
-    or is not run (``iterate`` False, for two values on that circle, as for a
-    complex second eigenvalue), the exterior square is solved densely under
-    the cap of ``compound.exterior_square``; above it ConvergenceError is raised.
+    wedge has every pair coordinate j - i positive. It converges when
+    |lambda2| > |lambda3|. When it has not converged after 100 n steps, as
+    for a second eigenvalue in a complex pair, the exterior square is solved
+    densely under the cap of ``compound.exterior_square``; above the cap
+    ConvergenceError is raised.
     """
     n = m.shape[0]
-    if iterate:
-        start = np.column_stack([np.ones(n), np.arange(n, dtype=float)])
-        lam, _, ok = _orthogonal_iteration(m, start, 100 * n)
-        if ok:
-            return abs(lam)
+    start = np.column_stack([np.ones(n), np.arange(n, dtype=float)])
+    lam, _, ok = _orthogonal_iteration(m, start, 100 * n)
+    if ok:
+        return abs(lam)
     try:
         square = compound.exterior_square(m)
     except ResourceLimitError:
         raise ConvergenceError(
-            "orthogonal iteration cannot give the wedge radius, and the "
+            "orthogonal iteration for the wedge radius stagnated, and the "
             f"exterior square of this {n}x{n} matrix is too large to solve "
             "densely; its wedge spectrum has no dominant eigenvalue"
         ) from None
@@ -173,13 +168,10 @@ def analyze(m, tol=DEFAULT_TOL, circle_tol=DEFAULT_CIRCLE_TOL,
     moduli = np.abs(spectrum)
     lambda1 = float(moduli[0])
     degenerate = lambda1 <= tol * amax
-    on_circle = moduli >= lambda1 * (1.0 - circle_tol)
-    circle_count = int(np.count_nonzero(on_circle))
 
-    # lambda1 comes from the dense solve; power iteration checks it where the
-    # spectrum says that it converges to the Perron root.
-    perron_only = np.abs(spectrum[on_circle] - lambda1) <= circle_tol * lambda1
-    if cert1.verdict and not degenerate and perron_only.all():
+    # lambda1 comes from the dense solve; for nonnegative input a converged
+    # power iteration must agree with it. An unconverged one checks nothing.
+    if cert1.verdict and not degenerate:
         lam_p, _, ok = _orthogonal_iteration(m, np.ones((n, 1)), 100 * n)
         if ok and abs(lam_p - lambda1) > 1e-6 * lambda1:
             raise ConvergenceError(
@@ -187,11 +179,7 @@ def analyze(m, tol=DEFAULT_TOL, circle_tol=DEFAULT_CIRCLE_TOL,
                 f"({lambda1:.12g}) disagree on the spectral radius"
             )
 
-    # lambda1 lambda_j beside lambda1 lambda2 on the wedge circle
-    tail = spectrum[2:]
-    tie = (np.abs(tail) >= moduli[1] * (1.0 - circle_tol)) & (
-        np.abs(tail - spectrum[1]) > circle_tol * lambda1)
-    rho_wedge = _wedge_radius(m, iterate=degenerate or not tie.any())
+    rho_wedge = _wedge_radius(m)
     residual = abs(rho_wedge - lambda1 * float(moduli[1])) / max(1.0, rho_wedge)
 
     def build(classification, lambda2=None, complex_pair=None, s1=None, s2=None,
@@ -214,6 +202,9 @@ def analyze(m, tol=DEFAULT_TOL, circle_tol=DEFAULT_CIRCLE_TOL,
 
     if degenerate:
         return build(CLASS_DEGENERATE)
+
+    on_circle = moduli >= lambda1 * (1.0 - circle_tol)
+    circle_count = int(np.count_nonzero(on_circle))
 
     signs1 = signs2 = None
     if circle_count == 1:

@@ -5,17 +5,28 @@ Draws are oscillatory matrices with n from 3 to 8; some have one exact zero
 replaced by a negative entry inside the tolerance (-c * tol * max|m|, c < 1),
 which the order-1 and order-2 certificates accept. Diagonal similarity
 D m D^-1 is not covered here.
+
+Examples come from a fixed seed (``derandomize``), so every run tests the same
+inputs and a failure reproduces; no example database is written. Without
+hypothesis installed this module is skipped.
 """
 
 from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from wedgespec import analyze, multiset_match, random_oscillatory
 from wedgespec.spectra import DEFAULT_TOL
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+given = hypothesis.given
+
+hypothesis.settings.register_profile(
+    "wedgespec", derandomize=True, deadline=None, database=None, max_examples=50
+)
+hypothesis.settings.load_profile("wedgespec")
 
 
 @st.composite
