@@ -230,12 +230,23 @@ def cmd_verify(args):
     return EXIT_OK if all_matched else EXIT_VERDICT
 
 
+def _seed(text):
+    """A --seed value: numpy generators take only nonnegative integers."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a nonnegative integer, got {text!r}")
+    return value
+
+
 def _add_common(p, seed=True):
     p.add_argument("--tol", type=float, default=1e-9, help="relative tolerance")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
     if seed:
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
 
 
 def build_parser():

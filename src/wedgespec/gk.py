@@ -147,8 +147,10 @@ def analyze(m, tol=DEFAULT_TOL, circle_tol=DEFAULT_CIRCLE_TOL,
         Cap on the discrepancy between the two routes to the second
         eigenvalue before the result is refused as numerically inconsistent.
     seed : int
-        Seed for the sampled hypothesis check on matrices too large for
-        exhaustive 2-minor enumeration.
+        Seed for the sampled order-2 hypothesis check, the last resort for
+        matrices whose contiguous 2x2 minors do not decide it (zeros, or a
+        minor in the slack band) and whose 2x2 minors exceed the exhaustive
+        budget; the certificate's mode then reads "sampled".
 
     Returns
     -------
@@ -156,6 +158,8 @@ def analyze(m, tol=DEFAULT_TOL, circle_tol=DEFAULT_CIRCLE_TOL,
     """
     m = as_dense_matrix(m)
     _check_tol(tol)
+    if not 0.0 < circle_tol < 1.0:
+        raise ValidationError(f"circle_tol must be a real in (0, 1), got {circle_tol!r}")
     if m.shape[0] < 2:
         raise ValidationError("analysis needs dimension n >= 2")
     n = m.shape[0]

@@ -36,10 +36,12 @@ class MinorWitness:
 class TNCertificate:
     """Verdict of a total-nonnegativity check up to a given minor order.
 
-    ``mode`` is "exhaustive" when every minor of every order up to
-    ``order_checked`` was evaluated, "sampled" when a seeded random subset
-    was; sampled verdicts certify only the minors actually seen. On a false
-    verdict ``witness`` holds a violating minor.
+    ``mode`` is "exhaustive" when the verdict covers every minor of every
+    order up to ``order_checked``, whether each was evaluated or a structure
+    theorem bounds them from the ones that were; ``minors_evaluated`` counts
+    the determinants actually computed. "sampled" means a seeded random
+    subset was evaluated, and the verdict certifies only the minors seen. On
+    a false verdict ``witness`` holds a violating minor.
     """
 
     order_checked: int
@@ -159,6 +161,8 @@ def is_totally_nonnegative(m, k, tol=DEFAULT_TOL, budget=MINOR_BUDGET, sample=Fa
         raise ValidationError(f"order must satisfy 1 <= k <= n = {n}, got {k!r}")
     k = int(k)
     if sample:
+        if not isinstance(samples, (int, np.integer)) or samples < 1:
+            raise ValidationError(f"samples must be a positive integer, got {samples!r}")
         return _sample_minors(m, k, repeat(np.random.default_rng(seed), int(samples)), tol)
 
     estimate = _estimated_minors(n, k)
@@ -177,15 +181,56 @@ def is_totally_nonnegative(m, k, tol=DEFAULT_TOL, budget=MINOR_BUDGET, sample=Fa
     return TNCertificate(k, witness is None, witness, counter[0], "exhaustive")
 
 
+def _contiguous_order_two(m, amax, thresh, tol):
+    """Order-2 certificate from the (n-1)^2 contiguous 2x2 minors, or None
+    when they do not decide.
+
+    A contiguous minor below ``thresh`` is a witness. For a strictly positive
+    matrix the contiguous cross-ratios r = a d / (b c) bound every other 2x2
+    minor (Karlin, Total Positivity, 1968): for i < k and j < l the ratio
+    m[i,j] m[k,l] / (m[i,l] m[k,j]) is the product of the r over the cells of
+    [i, k) x [j, l), and prod (1 - e) >= 1 - sum e for e in [0, 1], so with
+    S = sum max(0, 1 - r)
+
+        minor >= -S * m[i,l] * m[k,j] >= -S * amax^2,
+
+    and S <= tol certifies every minor. The ratios are taken on m / amax, so
+    a power-of-two scaling leaves them exact and the products stay clear of
+    underflow. Zeros, a non-finite ratio or S > tol leave it undecided.
+    """
+    n = m.shape[0]
+    count = (n - 1) ** 2
+    cont = m[:-1, :-1] * m[1:, 1:] - m[:-1, 1:] * m[1:, :-1]
+    i, j = map(int, np.unravel_index(int(np.argmin(cont)), cont.shape))
+    low = float(cont[i, j])
+    if low < thresh:
+        witness = MinorWitness((i, i + 1), (j, j + 1), low)
+        return TNCertificate(2, False, witness, count, "exhaustive")
+    if float(m.min()) <= 0.0:
+        return None
+    s = m / amax
+    with np.errstate(all="ignore"):
+        ratio = (s[:-1, :-1] * s[1:, 1:]) / (s[:-1, 1:] * s[1:, :-1])
+    if not np.all(np.isfinite(ratio)):
+        return None
+    if float(np.maximum(0.0, 1.0 - ratio).sum()) > tol:
+        return None
+    return TNCertificate(2, True, None, count, "exhaustive")
+
+
 def is_two_totally_nonnegative(m, tol=DEFAULT_TOL, budget=MINOR_BUDGET,
                                samples=2000, seed=0):
     """Check the order-1 and order-2 nonnegativity hypotheses separately.
 
     Returns a pair of certificates: entrywise nonnegativity of the matrix
     itself, and nonnegativity of all its 2x2 minors (the entries of the
-    exterior square). Above the minor budget the order-2 check switches to
-    seeded sampling instead of failing, since this pair of facts is exactly
-    what the downstream verdict engine needs on large grids.
+    exterior square). The order-2 check first scans the contiguous 2x2
+    minors, which decide it at every n when one of them is a violation or
+    when the matrix is strictly positive with cross-ratios inside ``tol``
+    (see ``_contiguous_order_two``). Only input that scan leaves undecided
+    (zeros, or a contiguous minor in the slack band) is swept exhaustively
+    under the minor budget, and above the budget sampled with ``samples``
+    minors from ``seed``; the certificate's mode says which.
     """
     m = as_dense_matrix(m)
     _check_tol(tol)
@@ -202,11 +247,15 @@ def is_two_totally_nonnegative(m, tol=DEFAULT_TOL, budget=MINOR_BUDGET,
     else:
         cert1 = TNCertificate(1, True, None, n * n, "exhaustive")
 
+    thresh = _threshold(amax, 2, tol)
+    cert2 = _contiguous_order_two(m, amax, thresh, tol)
+    if cert2 is not None:
+        return cert1, cert2
     if comb(n, 2) ** 2 > budget:
         return cert1, is_totally_nonnegative(m, 2, tol, sample=True, samples=samples,
                                              seed=seed)
     counter = [0]
-    witness = _order_sweep(m, 2, _threshold(amax, 2, tol), counter)
+    witness = _order_sweep(m, 2, thresh, counter)
     return cert1, TNCertificate(2, witness is None, witness, counter[0], "exhaustive")
 
 
@@ -273,14 +322,43 @@ def random_tn(n, seed, factors=20):
     return _draw_tn(rng, int(n), int(factors))
 
 
+def _neville_tn(m, zero):
+    """Whether ``m`` is totally nonnegative and nonsingular, by Neville
+    elimination of ``m`` and of its transpose.
+
+    Neville elimination clears column k by subtracting from each row a
+    multiple of the row just above it. A nonsingular matrix is totally
+    nonnegative exactly when the elimination of m and of m^T needs no row
+    exchange, has nonnegative multipliers and positive diagonal pivots
+    (Gasca and Pena, Linear Algebra Appl. 165, 1992). Below a positive
+    diagonal pivot that means: the pivots of column k are nonnegative, and
+    a zero pivot has only zeros below it. Each pivot is a quotient of two
+    minors on consecutive rows whose orders differ by one, so pivots scale
+    like entries; those at most ``zero`` count as zero. O(n^3).
+    """
+    for a in (m, m.T):
+        a = a.copy()
+        for k in range(a.shape[0]):
+            col = np.where(np.abs(a[k:, k]) <= zero, 0.0, a[k:, k])
+            if (col[0] <= 0.0 or np.any(col < 0.0)
+                    or np.any((col[:-1] == 0.0) & (col[1:] > 0.0))):
+                return False
+            above = col[:-1]
+            mult = np.divide(col[1:], above, out=np.zeros_like(above), where=above > 0.0)
+            a[k + 1:, k:] -= mult[:, None] * a[k:-1, k:]
+    return True
+
+
 def random_oscillatory(n, seed, max_retries=100):
     """Random oscillatory matrix: totally nonnegative, invertible, primitive.
 
     A totally nonnegative draw is post-composed with a positive tridiagonal
-    totally nonnegative factor, then verified against the classical
-    criterion: all minors up to order n nonnegative, det > 0, and
-    (I + m)^(n-1) entrywise positive. Failed draws retry with seeds derived
-    from (seed, attempt) up to ``max_retries`` times.
+    totally nonnegative factor, then verified against the Gantmacher-Krein
+    criterion: positive first super- and subdiagonals, and totally
+    nonnegative and nonsingular by Neville elimination (``_neville_tn``),
+    with entries and pivots at most 1e-10 * max|m| taken as zero. That costs
+    O(n^3) at every n. Failed draws retry with seeds derived from
+    (seed, attempt) up to ``max_retries`` times.
     """
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise ValidationError(f"oscillatory generation needs n >= 2, got {n!r}")
@@ -293,15 +371,10 @@ def random_oscillatory(n, seed, max_retries=100):
         mid = np.diag(rng.uniform(0.5, 2.0, n))
         m = base @ (lower @ mid @ upper)
 
-        cert = is_totally_nonnegative(m, n, tol=1e-10)
-        if not cert.verdict:
-            continue
-        if np.linalg.det(m) <= 0.0:
-            continue
-        power = np.linalg.matrix_power(np.eye(n) + m, n - 1)
-        if float(power.min()) <= 0.0:
-            continue
-        return m
+        zero = 1e-10 * float(np.abs(m).max())
+        if (np.all(np.diag(m, 1) > zero) and np.all(np.diag(m, -1) > zero)
+                and _neville_tn(m, zero)):
+            return m
     raise GenerationError(
         f"no oscillatory matrix passed verification after {max_retries} retries "
         f"(n={n}, seed={seed})"

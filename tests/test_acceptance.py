@@ -6,9 +6,11 @@ over budget.
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -249,13 +251,17 @@ def test_criterion_8_byte_identical_reports(tmp_path):
         ["kernel", "--name", "green_string", "--grid", "40",
          "--trials", "50", "--format", "json"],
     ]
+    # the child imports the package from src/, as this process does
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
     issues = []
     for argv in invocations:
         outputs = []
         for _ in range(2):
             proc = subprocess.run(
                 [sys.executable, "-m", "wedgespec.cli", *argv],
-                capture_output=True,
+                capture_output=True, env=env,
             )
             outputs.append(proc.stdout)
         if outputs[0] != outputs[1] or not outputs[0]:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from wedgespec import random_oscillatory, random_tn
+from wedgespec import compound_matrix, random_oscillatory, random_tn
 from wedgespec.cli import main
 
 
@@ -70,6 +70,12 @@ class TestAnalyze:
         code, out, err = run(capsys, "analyze", str(path))
         assert (code, out) == (2, "")
         assert "order-2 minors overflow float64" in err
+
+    @pytest.mark.parametrize("circle_tol", ["-1", "nan", "2"])
+    def test_circle_tol_outside_unit_interval_exit_2(self, capsys, diag_csv, circle_tol):
+        code, out, err = run(capsys, "analyze", diag_csv, "--circle-tol", circle_tol)
+        assert (code, out) == (2, "")
+        assert "circle_tol" in err
 
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run(capsys, "analyze", "/no/such/file.csv")
@@ -151,6 +157,14 @@ class TestTnCheck:
         doc = json.loads(out)
         assert (doc["verdict"], doc["mode"], doc["minors_evaluated"]) == (False, "sampled", 200)
         assert doc["witness"] == {"rows": [0, 1], "cols": [0, 1], "value": -1.0}
+
+    def test_empty_sample_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "neg.csv"
+        path.write_text("1.0,2.0\n3.0,1.0\n")
+        code, out, err = run(capsys, "tn-check", str(path), "--order", "2", "--sample",
+                             "--samples", "0")
+        assert (code, out) == (2, "")
+        assert "samples" in err
 
     def test_sampled_pass_exit_0(self, capsys, diag_csv):
         args = ("tn-check", diag_csv, "--order", "3", "--sample")
@@ -244,6 +258,15 @@ class TestGenerate:
         )
         np.testing.assert_array_equal(parsed, random_oscillatory(4, 3))
 
+    def test_oscillatory_n13_passes_numpy_oracle(self, capsys):
+        code, out, _ = run(capsys, "generate", "--oscillatory", "--n", "13", "--seed", "0")
+        assert code == 0
+        m = np.array([[float(x) for x in line.split(",")] for line in out.splitlines()])
+        assert m.shape == (13, 13)
+        assert np.linalg.det(m) > 0.0
+        assert np.linalg.matrix_power(np.eye(13) + m, 12).min() > 0.0
+        assert compound_matrix(m, 2).min() >= -1e-10 * float(np.abs(m).max()) ** 2
+
     def test_generate_then_tn_check(self, capsys, tmp_path):
         target = tmp_path / "osc5.csv"
         code, _, _ = run(capsys, "generate", "--n", "5", "--seed", "42",
@@ -287,6 +310,20 @@ class TestVerify:
                            "--trials", "5", "--seed", "2")
         assert code == 0
         assert "all_matched: True" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("tn-check", "{diag}", "--order", "2", "--sample", "--seed", "-1"),
+    ("generate", "--n", "4", "--seed", "-1"),
+    ("generate", "--n", "4", "--seed", "-1", "--oscillatory"),
+    ("kernel", "--name", "gaussian", "--grid", "10", "--seed", "-1"),
+])
+def test_negative_seed_exit_2(capsys, diag_csv, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(diag=diag_csv) for a in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--seed: seed must be a nonnegative integer" in err
 
 
 class TestDeterminism:

@@ -10,6 +10,8 @@ from wedgespec import (
     ConvergenceError,
     ValidationError,
     analyze,
+    builtin_kernel,
+    discretize,
     eigenvalues,
     exterior_square,
     random_oscillatory,
@@ -98,6 +100,23 @@ class TestAnalyzeExamples:
     def test_dimension_one_rejected(self):
         with pytest.raises(ValidationError):
             analyze([[5.0]])
+
+    @pytest.mark.parametrize("circle_tol", [-1.0, 0.0, 1.0, 2.0, math.nan, math.inf])
+    def test_circle_tol_outside_unit_interval_rejected(self, circle_tol):
+        with pytest.raises(ValidationError, match="circle_tol"):
+            analyze(np.diag([3.0, 2.0, 1.0]), circle_tol=circle_tol)
+
+    def test_planted_contiguous_minor_above_the_budget(self):
+        # green n=100 has C(100,2)^2 minors, above the exhaustive budget; the
+        # contiguous scan still finds the planted one
+        m = discretize(builtin_kernel("green_string"), 100).discretized.copy()
+        m[51, 51] = (m[50, 51] * m[51, 50] - 5e-8) / m[50, 50]
+        r = analyze(m)
+        assert r.classification == CLASS_VIOLATED
+        cert = r.hypothesis_certificates[1]
+        assert (cert.mode, cert.minors_evaluated) == ("exhaustive", 99 ** 2)
+        assert (cert.witness.rows, cert.witness.cols) == ((50, 51), (50, 51))
+        assert cert.witness.value == pytest.approx(-5e-8, rel=1e-6)
 
 
 class TestAnalyzeProperties:

@@ -22,7 +22,7 @@ from wedgespec import (
     random_tn,
     sign_changes,
 )
-from wedgespec.positivity import MinorWitness
+from wedgespec.positivity import MinorWitness, _neville_tn, _order_sweep
 from tests.test_compound import det_laplace
 
 
@@ -39,6 +39,15 @@ def all_minors(m, k):
 
 
 THREE_CYCLE = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+
+
+def plant(m, i, depth):
+    """Copy of ``m`` with m[i+1, i+1] lowered so that the contiguous minor at
+    rows/cols (i, i+1) becomes -depth * amax^2."""
+    p = m.copy()
+    amax = float(np.abs(m).max())
+    p[i + 1, i + 1] = (m[i, i + 1] * m[i + 1, i] - depth * amax ** 2) / m[i, i]
+    return p
 
 
 class TestIsTotallyNonnegative:
@@ -79,6 +88,13 @@ class TestIsTotallyNonnegative:
         assert cert.verdict
         assert cert.minors_evaluated == 50
 
+    @pytest.mark.parametrize("samples", [0, -3, 2.5])
+    def test_empty_or_fractional_sample_refused(self, samples):
+        # det -5: a certificate of no minors used to pass it
+        with pytest.raises(ValidationError, match="samples"):
+            is_totally_nonnegative([[1.0, 2.0], [3.0, 1.0]], 2, sample=True,
+                                   samples=samples)
+
     def test_sampled_mode_finds_violations(self):
         cert = is_totally_nonnegative(THREE_CYCLE, 2, sample=True, samples=300, seed=0)
         assert not cert.verdict
@@ -116,31 +132,33 @@ class TestTwoTotallyNonnegative:
         assert c1.witness.rows == (0,) and c1.witness.cols == (1,)
 
     def test_sampled_above_budget(self):
-        rng = np.random.default_rng(0)
-        m = rng.uniform(0.5, 1.0, (80, 80))
+        # every odd row zero: no contiguous minor is negative and the
+        # contiguous scan cannot decide, so the budget sends it to sampling
+        m = np.random.default_rng(0).uniform(0.5, 1.0, (80, 80))
+        m[1::2] = 0.0
         c1, c2 = is_two_totally_nonnegative(m, budget=10_000, samples=200, seed=1)
         assert c1.mode == "exhaustive"
         assert c2.mode == "sampled"
+        assert c2.minors_evaluated == 200
+
+    def test_contiguous_witness_needs_no_budget(self):
+        m = np.random.default_rng(0).uniform(0.5, 1.0, (80, 80))
+        _, cert = is_two_totally_nonnegative(m, budget=10_000, samples=200, seed=1)
+        assert (cert.verdict, cert.mode, cert.minors_evaluated) == (False, "exhaustive", 79 ** 2)
+        w = cert.witness
+        assert (w.rows[1] - w.rows[0], w.cols[1] - w.cols[0]) == (1, 1)
+        assert w.value == minor(m, w.rows, w.cols) < 0
 
 
 class TestOrderTwoOracle:
     """The exhaustive order-2 certificate against the full second compound."""
-
-    @staticmethod
-    def _plant(m, i, depth):
-        # lower m[i+1, i+1] so the contiguous minor at rows/cols (i, i+1)
-        # becomes -depth * amax^2
-        p = m.copy()
-        amax = float(np.abs(m).max())
-        p[i + 1, i + 1] = (m[i, i + 1] * m[i + 1, i] - depth * amax ** 2) / m[i, i]
-        return p
 
     @pytest.mark.parametrize("seed", range(8))
     def test_verdict_and_witness_match_compound(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 41))
         tn = random_tn(n, seed, factors=3 * n)
-        planted = self._plant(tn, int(rng.integers(0, n - 1)), 5e-8)
+        planted = plant(tn, int(rng.integers(0, n - 1)), 5e-8)
         for m in (tn, planted, rng.uniform(0.5, 1.0, (n, n))):
             _, cert = is_two_totally_nonnegative(m)
             thresh = -1e-9 * float(np.abs(m).max()) ** 2
@@ -151,12 +169,53 @@ class TestOrderTwoOracle:
                 assert w.value == minor(m, w.rows, w.cols) < thresh
         assert not is_two_totally_nonnegative(planted)[1].verdict
 
+    @staticmethod
+    def _oracle_verdict(m, tol=1e-9):
+        return compound_matrix(m, 2).min() >= -tol * float(np.abs(m).max()) ** 2
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_contiguous_route_matches_compound(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        n = int(rng.integers(3, 41))
+        i = int(rng.integers(0, n - 1))
+        green = discretize(builtin_kernel("green_string"), n).discretized
+        gaussian = discretize(builtin_kernel("gaussian"), n).discretized
+        # strictly positive input: the (n-1)^2 contiguous minors decide
+        for m in (green, gaussian, rng.uniform(0.5, 1.0, (n, n)),
+                  plant(green, i, 5e-8)):
+            _, cert = is_two_totally_nonnegative(m)
+            assert (cert.mode, cert.minors_evaluated) == ("exhaustive", (n - 1) ** 2)
+            assert cert.verdict == self._oracle_verdict(m)
+            if not cert.verdict:
+                w = cert.witness
+                assert (w.rows[1] - w.rows[0], w.cols[1] - w.cols[0]) == (1, 1)
+                assert w.value == minor(m, w.rows, w.cols)
+        # a contiguous minor inside the slack band: either route, same verdict
+        slack = plant(green, i, 0.5e-9)
+        _, cert = is_two_totally_nonnegative(slack)
+        assert cert.mode == "exhaustive"
+        assert cert.verdict == self._oracle_verdict(slack)
+        # zeros everywhere but two corners: the only negative 2x2 minor,
+        # rows and columns (0, n-1), is not contiguous, so the sweep finds it
+        corners = np.zeros((n, n))
+        corners[0, n - 1], corners[n - 1, 0] = rng.uniform(0.5, 1.0, 2)
+        _, cert = is_two_totally_nonnegative(corners)
+        assert not self._oracle_verdict(corners)
+        assert (cert.verdict, cert.mode) == (False, "exhaustive")
+        assert cert.witness == MinorWitness((0, n - 1), (0, n - 1),
+                                            -corners[0, n - 1] * corners[n - 1, 0])
+
     def test_green_80_counts_every_minor(self):
+        # the exhaustive sweep is the oracle for the contiguous certificate
         g = discretize(builtin_kernel("green_string"), 80).discretized
+        thresh = -1e-9 * float(np.abs(g).max()) ** 2
+        counter = [0]
+        assert _order_sweep(g, 2, thresh, counter) is None
+        assert counter[0] == comb(80, 2) ** 2 == 9_985_600
         _, cert = is_two_totally_nonnegative(g)
-        assert cert.verdict and cert.mode == "exhaustive"
-        assert cert.minors_evaluated == comb(80, 2) ** 2 == 9_985_600
-        planted = self._plant(g, 40, 5e-8)
+        assert cert == TNCertificate(2, True, None, 79 ** 2, "exhaustive")
+        planted = plant(g, 40, 5e-8)
+        assert _order_sweep(planted, 2, thresh, [0]).value < thresh
         _, cert = is_two_totally_nonnegative(planted)
         assert not cert.verdict
         w = cert.witness
@@ -172,7 +231,9 @@ class TestPinnedDrawStreams:
                                      300, "sampled")
 
     def test_order_two_above_budget(self):
+        # odd rows zeroed, so the contiguous scan leaves it to sampling
         m = np.random.default_rng(0).uniform(0.5, 1.0, (80, 80))
+        m[1::2] = 0.0
         _, cert = is_two_totally_nonnegative(m, budget=10_000, seed=1)
         witness = MinorWitness((16, 54), (48, 56), -0.6301252302753839)
         assert cert == TNCertificate(2, False, witness, 2000, "sampled")
@@ -264,7 +325,35 @@ class TestRandomTN:
             assert cert.verdict
 
 
+class TestNevilleCriterion:
+    """Neville elimination of m and m^T against the exhaustive certificate."""
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_agrees_with_all_minors_and_det(self, n):
+        for seed in range(10):
+            m = random_tn(n, 50 * n + seed, factors=3 * n)
+            if seed % 2:
+                m = plant(m, seed % (n - 1), 1e-6)
+            expected = (is_totally_nonnegative(m, n, tol=1e-10).verdict
+                        and np.linalg.det(m) > 0.0)
+            assert expected == (seed % 2 == 0)
+            assert _neville_tn(m, 1e-10 * float(np.abs(m).max())) == expected
+
+    def test_singular_and_row_exchange_refused(self):
+        assert not _neville_tn(np.ones((3, 3)), 1e-10)  # TN but singular
+        assert not _neville_tn(np.array([[1.0, 1.0], [1.0, 0.5]]), 1e-10)
+        assert not _neville_tn(np.array([[0.0, 1.0], [1.0, 0.0]]), 1e-10)
+        assert _neville_tn(np.array([[1.0, 0.0], [0.0, 2.0]]), 1e-10)
+
+
 class TestRandomOscillatory:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_n40_passes_numpy_oracle(self, seed):
+        m = random_oscillatory(40, seed)
+        assert np.linalg.det(m) > 0.0
+        assert np.linalg.matrix_power(np.eye(40) + m, 39).min() > 0.0
+        assert compound_matrix(m, 2).min() >= -1e-10 * float(np.abs(m).max()) ** 2
+
     def test_two_by_two(self):
         m = random_oscillatory(2, seed=7)
         assert m.min() > 0.0
