@@ -11,8 +11,12 @@ facts are unconditional and the certificates record what was violated.
 
 rho(wedge) comes from two-column orthogonal iteration on the matrix at every
 size; the exterior square is built and solved only when that stagnates.
-lambda1 comes from the dense solve; for nonnegative input, power iteration
-from the all-ones vector checks it when it converges.
+Whatever the classification, it must equal lambda1 |lambda2| from the dense
+spectrum within ``residual_tol``. The dense solve is ``spectra.eigenpairs``,
+which takes the symmetric solver on exactly symmetric input (every kernel
+grid) and the general one otherwise. lambda1 comes from that solve; for
+nonnegative input, power iteration from the all-ones vector checks it when it
+converges.
 """
 
 from dataclasses import dataclass
@@ -50,6 +54,8 @@ CLASSIFICATIONS = (
 
 DEFAULT_CIRCLE_TOL = 1e-7
 DEFAULT_RESIDUAL_TOL = 1e-8
+
+_GOLDEN = (5.0 ** 0.5 - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -95,15 +101,21 @@ def _wedge_radius(m):
     """Spectral radius of the exterior square of ``m``.
 
     Two-column orthogonal iteration on ``m`` (power iteration on the wedge
-    action) from the span of the all-ones vector and 0, 1, ..., n-1, whose
-    wedge has every pair coordinate j - i positive. It converges when
+    action) from the columns u and u * S, where u_i = 1 + frac(i * phi) lies
+    in [1, 2) (phi the golden-ratio conjugate) and S is the running sum of
+    u. Their wedge has every pair coordinate u_i u_j (S_j - S_i), i < j,
+    positive, so it meets the positive top wedge eigenvector of an
+    oscillatory matrix; and as neither column is constant or polynomial in
+    i, neither constant row sums nor a polynomial invariant subspace of
+    ``m`` holds the start span invariant. The iteration converges when
     |lambda2| > |lambda3|. When it has not converged after 100 n steps, as
     for a second eigenvalue in a complex pair, the exterior square is solved
     densely under the cap of ``compound.exterior_square``; above the cap
     ConvergenceError is raised.
     """
     n = m.shape[0]
-    start = np.column_stack([np.ones(n), np.arange(n, dtype=float)])
+    u = 1.0 + np.mod(np.arange(n) * _GOLDEN, 1.0)
+    start = np.column_stack([u, u * np.cumsum(u)])
     lam, _, ok = _orthogonal_iteration(m, start, 100 * n)
     if ok:
         return abs(lam)
@@ -144,8 +156,10 @@ def analyze(m, tol=DEFAULT_TOL, circle_tol=DEFAULT_CIRCLE_TOL,
         >= lambda1 * (1 - circle_tol). Exact circle membership has no
         floating-point meaning, so the threshold is part of the report.
     residual_tol : float
-        Cap on the discrepancy between the two routes to the second
-        eigenvalue before the result is refused as numerically inconsistent.
+        Cap on ``residual_theorem3``, the discrepancy between rho_wedge and
+        lambda1 |lambda2| from the dense spectrum, before the result is
+        refused as numerically inconsistent; checked for every
+        classification but degenerate_rho_zero.
     seed : int
         Seed for the sampled order-2 hypothesis check, the last resort for
         matrices whose contiguous 2x2 minors do not decide it (zeros, or a
@@ -206,6 +220,14 @@ def analyze(m, tol=DEFAULT_TOL, circle_tol=DEFAULT_CIRCLE_TOL,
 
     if degenerate:
         return build(CLASS_DEGENERATE)
+    # rho(wedge) = lambda1 |lambda2| holds for every matrix, so the wedge
+    # route and the dense spectrum must agree whatever the classification.
+    if residual > residual_tol:
+        raise ConvergenceError(
+            f"the two routes to the second eigenvalue disagree: "
+            f"rho_wedge/lambda1 = {rho_wedge / lambda1:.12g} vs sorted modulus "
+            f"{float(moduli[1]):.12g} (residual {residual:.3e} > {residual_tol:g})"
+        )
 
     on_circle = moduli >= lambda1 * (1.0 - circle_tol)
     circle_count = int(np.count_nonzero(on_circle))
@@ -238,12 +260,6 @@ def analyze(m, tol=DEFAULT_TOL, circle_tol=DEFAULT_CIRCLE_TOL,
         return build(CLASS_VIOLATED, s1=signs1, s2=signs2, circle_count=circle_count)
 
     lambda2 = rho_wedge / lambda1
-    if residual > residual_tol:
-        raise ConvergenceError(
-            f"the two routes to the second eigenvalue disagree: "
-            f"rho_wedge/lambda1 = {lambda2:.12g} vs sorted modulus "
-            f"{float(moduli[1]):.12g} (residual {residual:.3e} > {residual_tol:g})"
-        )
     if not 0.0 < lambda2 < lambda1:
         raise ConvergenceError(
             f"computed second eigenvalue {lambda2:.12g} is outside (0, lambda1 = "

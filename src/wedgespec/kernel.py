@@ -127,14 +127,28 @@ def _implied_nodes(count):
 
 
 def _eval_builtin(spec, t, s):
+    """Kernel values on the broadcast of ``t`` and ``s``.
+
+    The result array is filled in place, so an n x n grid allocates one
+    n x n array (two for green_string's product) rather than one per
+    operation. Scalar arguments give a numpy scalar.
+    """
     t = np.asarray(t, dtype=float)
     s = np.asarray(s, dtype=float)
+    out = np.empty(np.broadcast_shapes(t.shape, s.shape))
     if spec.name == "green_string":
-        return np.minimum(t, s) - t * s
-    if spec.name == "gaussian":
-        return np.exp(-((t - s) ** 2) / spec.param ** 2)
-    # cauchy, evaluated on the shifted domain
-    return 1.0 / ((t + CAUCHY_SHIFT) + (s + CAUCHY_SHIFT))
+        np.minimum(t, s, out=out)
+        out -= t * s
+    elif spec.name == "gaussian":
+        # exp(-(t - s)^2 / w^2); dividing by -w^2 is exactly negating first
+        np.subtract(t, s, out=out)
+        np.square(out, out=out)
+        out /= -spec.param ** 2
+        np.exp(out, out=out)
+    else:  # cauchy, evaluated on the shifted domain
+        np.add(t + CAUCHY_SHIFT, s + CAUCHY_SHIFT, out=out)
+        np.divide(1.0, out, out=out)
+    return out[()]
 
 
 def kernel_value(spec, t, s):
@@ -208,7 +222,8 @@ def discretize(spec, n, rule="midpoint"):
     if abs(float(weights.sum()) - 1.0) > 1e-12:
         raise ValidationError("quadrature weights must sum to the domain length 1")
     sw = np.sqrt(weights)
-    discretized = sw[:, None] * values * sw[None, :]
+    discretized = sw[:, None] * values
+    discretized *= sw[None, :]
     return KernelGrid(nodes=nodes, weights=weights, values=values, discretized=discretized)
 
 

@@ -1,5 +1,10 @@
 """Dense eigenvalue computation, Perron pairs, and spectrum multiset matching.
 
+The dense solver is chosen by structure: exactly symmetric input takes
+LAPACK's symmetric solver, any other the general Hessenberg + shifted QR
+route. Both routes return canonically ordered values, and ``eigenpairs``
+checks the residual of every pair on both.
+
 Spectra are represented as numpy arrays of complex values in a canonical
 order: modulus descending, ties broken by argument ascending in (-pi, pi].
 Every function that returns a spectrum returns it in that order, so reports
@@ -99,11 +104,30 @@ def _solver_failure(m, exc):
     )
 
 
+def _dense_solve(m, vectors):
+    """Eigenvalues of ``m``, with eigenvectors when ``vectors`` is true.
+
+    An exactly symmetric ``m`` (``m == m.T`` entry for entry, an O(n^2) test)
+    takes LAPACK's symmetric solver (``eigh`` / ``eigvalsh``): real values and
+    orthonormal vectors at a fraction of the cost of the general route. Any
+    other ``m`` takes the general Hessenberg + shifted QR route (``eig`` /
+    ``eigvals``, LAPACK dgeev). Both are deterministic for a fixed input on a
+    fixed build. The choice rests on structure, never on size.
+    """
+    symmetric = np.array_equal(m, m.T)
+    try:
+        if vectors:
+            return np.linalg.eigh(m) if symmetric else np.linalg.eig(m)
+        return np.linalg.eigvalsh(m) if symmetric else np.linalg.eigvals(m)
+    except np.linalg.LinAlgError as exc:
+        raise _solver_failure(m, exc) from None
+
+
 def eigenvalues(m, tol=DEFAULT_TOL):
     """All eigenvalues of a real square matrix, canonically sorted.
 
-    Uses the dense Hessenberg + implicitly shifted QR route (LAPACK dgeev),
-    which is deterministic for a fixed input on a fixed build.
+    Exactly symmetric input takes the symmetric solver, any other the
+    general Hessenberg + shifted QR route (see ``_dense_solve``).
 
     Parameters
     ----------
@@ -119,28 +143,22 @@ def eigenvalues(m, tol=DEFAULT_TOL):
     """
     m = as_dense_matrix(m)
     _check_tol(tol)
-    try:
-        w = np.linalg.eigvals(m)
-    except np.linalg.LinAlgError as exc:
-        raise _solver_failure(m, exc) from None
-    return sort_spectrum(w)
+    return sort_spectrum(_dense_solve(m, vectors=False))
 
 
 def eigenpairs(m, tol=DEFAULT_TOL):
     """Eigenvalues with matching eigenvectors and a residual guarantee.
 
     Returns ``(values, vectors)`` with ``values`` canonically sorted and
-    ``vectors[:, k]`` a unit eigenvector for ``values[k]``. Each pair is
-    validated against the backward-error bound
-    ``||m v - lambda v|| <= tol * ||m||_F``; a violation raises
-    ConvergenceError with condition diagnostics.
+    ``vectors[:, k]`` a unit eigenvector for ``values[k]``. Exactly symmetric
+    input takes the symmetric solver, any other the general route (see
+    ``_dense_solve``). On both routes each pair is validated against the
+    backward-error bound ``||m v - lambda v|| <= tol * ||m||_F``; a violation
+    raises ConvergenceError with condition diagnostics.
     """
     m = as_dense_matrix(m)
     _check_tol(tol)
-    try:
-        w, v = np.linalg.eig(m)
-    except np.linalg.LinAlgError as exc:
-        raise _solver_failure(m, exc) from None
+    w, v = _dense_solve(m, vectors=True)
     order = _spectrum_order(w)
     w, v = w[order], v[:, order]
     scale = max(float(np.linalg.norm(m)), np.finfo(float).tiny)

@@ -1,6 +1,10 @@
 """Command-line surface: parsing, exit codes, round trips, output parity."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -336,3 +340,23 @@ class TestDeterminism:
         _, out1, _ = run(capsys, "generate", "--n", "6", "--seed", "9")
         _, out2, _ = run(capsys, "generate", "--n", "6", "--seed", "9")
         assert out1 == out2
+
+
+def test_analyze_leaves_numpy_random_unimported():
+    # numpy imports numpy.random lazily; analyze on both solver routes (a
+    # symmetric and a nonsymmetric oscillatory matrix) must not pull it in,
+    # which would add to every CLI process's start-up time and resident set
+    code = (
+        "import sys, wedgespec\n"
+        "for m in ([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]],\n"
+        "          [[3.0, 1.0, 0.0], [2.0, 3.0, 1.0], [0.0, 2.0, 3.0]]):\n"
+        "    assert wedgespec.analyze(m).classification == 'second_eigenvalue_found'\n"
+        "print('numpy' in sys.modules, 'numpy.random' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["True", "False"]

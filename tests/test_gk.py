@@ -29,6 +29,8 @@ from wedgespec.gk import (
     CLASS_VIOLATED,
 )
 
+from .test_spectra import _count_solvers
+
 THREE_CYCLE = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 TRIDIAG = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
 
@@ -264,16 +266,15 @@ def iterations(monkeypatch):
 class TestPerronCheck:
     def test_bipartite_stall_checks_nothing_and_solves_once(self, iterations, monkeypatch):
         # +-rho share the spectral circle, so power iteration cannot converge;
-        # the check then makes no second dense solve of the same matrix
+        # the check then makes no second dense solve of the same matrix. The
+        # matrix is symmetric, so its one solve is eigh; every solver is counted.
         steps, converged = iterations
-        solves = []
-        inner_eig = np.linalg.eig
-        monkeypatch.setattr(np.linalg, "eig", lambda a: solves.append(a.shape) or inner_eig(a))
+        solves = _count_solvers(monkeypatch)
         r = analyze(_bipartite(20))
         assert r.classification == CLASS_MULTIPLE and r.circle_count == 2
         assert converged == {1: [False], 2: [True]}
         assert steps[1] == 100 * 40
-        assert solves == [(40, 40)]
+        assert solves == ["eigh"]
 
     def test_complex_second_eigenvalue_uses_dense_wedge_fallback(self, iterations):
         steps, converged = iterations
@@ -374,6 +375,38 @@ class TestWedgeRadius:
         assert not _orthogonal_iteration(THREE_CYCLE, start, 300)[2]
         assert _wedge_radius(THREE_CYCLE) == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("c", [1.0, 5.0])
+    def test_start_outside_polynomial_invariant_subspace(self, c):
+        # eigenvalue 1 on span(ones, arange) and 5 on its complement: a start
+        # in that span is exactly invariant and gave rho_wedge 1. At c = 5 the
+        # matrix is an integer matrix, so ones stays an exact eigenvector.
+        n = 4
+        q = np.linalg.qr(np.column_stack([np.ones(n), np.arange(n, dtype=float)]))[0]
+        m = c * (q @ q.T + 5.0 * (np.eye(n) - q @ q.T))
+        if c == 5.0:
+            m = np.round(m)
+            assert np.array_equal(m @ np.ones(n), 5.0 * np.ones(n))
+        r = analyze(m)
+        assert r.classification == CLASS_MULTIPLE
+        assert r.rho_wedge == pytest.approx(25.0 * c * c, rel=1e-12)
+        assert r.residual_theorem3 <= 1e-12
+
+    @pytest.mark.parametrize("m, classification", [
+        (THREE_CYCLE, CLASS_COMPLEX_PAIR),
+        (np.eye(3), CLASS_MULTIPLE),
+        (np.array([[2.0, -1.0], [-1.0, 1.0]]), CLASS_VIOLATED),
+        (TRIDIAG, CLASS_SECOND),
+    ])
+    def test_wrong_radius_is_refused_for_every_classification(
+            self, m, classification, monkeypatch):
+        import wedgespec.gk as gkmod
+
+        assert analyze(m).classification == classification
+        inner = gkmod._wedge_radius
+        monkeypatch.setattr(gkmod, "_wedge_radius", lambda a: 1.5 * inner(a))
+        with pytest.raises(ConvergenceError, match="two routes"):
+            analyze(m)
+
     @pytest.mark.parametrize("m", [
         np.array([[0.0, 1.0], [0.0, 0.0]]),
         np.triu(np.ones((5, 5)), 1),
@@ -441,6 +474,21 @@ class TestVerifyTheorem2:
         else:
             m = np.random.default_rng(6000 + seed).standard_normal((n, n))
         assert verify_theorem2(m).matched
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("verify", [verify_theorem1, verify_theorem2])
+def test_symmetric_squares_take_eigvalsh(verify, seed, monkeypatch):
+    # the Kronecker and exterior squares of a symmetric m are symmetric too,
+    # so the base and the square are both solved by eigvalsh
+    n = 3 + seed
+    b = random_tn(n, seed=6100 + seed, factors=3 * n)
+    m = b @ b.T if seed % 2 == 0 else b + b.T - np.diag(np.diag(b)) * 3.0
+    assert np.array_equal(m, m.T)
+    calls = _count_solvers(monkeypatch)
+    rep = verify(m)
+    assert rep.matched
+    assert calls == ["eigvalsh", "eigvalsh"]
 
 
 class TestSerialization:

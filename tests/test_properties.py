@@ -1,6 +1,7 @@
 """Property tests: analyze is invariant under transpose, reversal, scaling
-and positive diagonal similarity, and multiset_match pairs as many values as
-any matching within its threshold.
+and positive diagonal similarity, its symmetric and general solver routes
+agree, and multiset_match pairs as many values as any matching within its
+threshold.
 
 Draws are oscillatory matrices with n from 3 to 8; some have one exact zero
 replaced by a negative entry inside the tolerance (-c * tol * max|m|, c < 1),
@@ -16,7 +17,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from wedgespec import analyze, multiset_match, random_oscillatory
+from wedgespec import analyze, multiset_match, random_oscillatory, random_tn
 from wedgespec.spectra import DEFAULT_TOL
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -87,6 +88,30 @@ def test_diagonal_similarity(m, seed):
     assert (s.lambda2 is None) == (r.lambda2 is None)
     if r.lambda2 is not None:
         assert s.lambda2 == pytest.approx(r.lambda2, rel=1e-8)
+
+
+@st.composite
+def symmetric_tn(draw):
+    n = draw(st.integers(3, 8))
+    b = random_tn(n, seed=draw(st.integers(0, 2 ** 16)))
+    return b @ b.T
+
+
+@given(symmetric_tn())
+def test_symmetric_and_general_routes_agree(m):
+    # B B^T is exactly symmetric and takes eigh; one off-diagonal entry moved
+    # by one ulp makes the same matrix take the general eig route
+    assert np.array_equal(m, m.T)
+    nudged = m.copy()
+    nudged[0, 1] = np.nextafter(m[0, 1], np.inf)
+    r, s = analyze(m), analyze(nudged)
+    assert s.classification == r.classification
+    assert _strict(s.sign_changes_e1) == _strict(r.sign_changes_e1)
+    assert _strict(s.sign_changes_e2) == _strict(r.sign_changes_e2)
+    assert s.lambda1 == pytest.approx(r.lambda1, rel=1e-10)
+    assert (s.lambda2 is None) == (r.lambda2 is None)
+    if r.lambda2 is not None:
+        assert s.lambda2 == pytest.approx(r.lambda2, rel=1e-10)
 
 
 @given(oscillatory())

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from wedgespec import (
+    ConvergenceError,
     DegeneratePerronError,
     ValidationError,
     as_dense_matrix,
@@ -82,6 +83,80 @@ class TestEigenpairs:
         m = rng.standard_normal((5, 5))
         w, _ = eigenpairs(m)
         np.testing.assert_array_equal(w, eigenvalues(m))
+
+
+def _count_solvers(monkeypatch):
+    """Record, by name, every dense numpy eigensolver call."""
+    calls = []
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        inner = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, inner=inner, name=name:
+                            calls.append(name) or inner(a))
+    return calls
+
+
+def _symmetric(n, seed):
+    b = np.random.default_rng(seed).standard_normal((n, n))
+    return b + b.T
+
+
+def _nudged(m):
+    """``m`` with one off-diagonal entry moved by one ulp: not symmetric."""
+    c = m.copy()
+    c[0, 1] = np.nextafter(c[0, 1], np.inf)
+    return c
+
+
+class TestSymmetricRoute:
+    def test_eigenpairs_solves_symmetric_input_with_eigh(self, monkeypatch):
+        calls = _count_solvers(monkeypatch)
+        m = _symmetric(8, 0)
+        eigenpairs(m)
+        assert calls == ["eigh"]
+        calls.clear()
+        eigenpairs(_nudged(m))
+        assert calls == ["eig"]
+
+    def test_eigenvalues_solves_symmetric_input_with_eigvalsh(self, monkeypatch):
+        calls = _count_solvers(monkeypatch)
+        m = _symmetric(8, 1)
+        eigenvalues(m)
+        assert calls == ["eigvalsh"]
+        calls.clear()
+        eigenvalues(_nudged(m))
+        assert calls == ["eigvals"]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_real_orthonormal_pairs_agree_with_eigvalsh(self, seed):
+        m = _symmetric(9, seed)
+        w, v = eigenpairs(m)
+        assert w.dtype == v.dtype == np.float64
+        np.testing.assert_allclose(v.T @ v, np.eye(9), rtol=0, atol=1e-12)
+        values = eigenvalues(m)
+        assert not values.imag.any()
+        np.testing.assert_allclose(np.sort(w), np.sort(values.real),
+                                   rtol=0, atol=1e-12 * np.linalg.norm(m))
+        # both routes sort canonically: modulus descending
+        assert np.all(np.diff(np.abs(w)) <= 0)
+
+    def test_corrupted_eigh_result_is_refused(self, monkeypatch):
+        inner = np.linalg.eigh
+
+        def shifted(a):
+            w, v = inner(a)
+            return w + 1e-6 * np.abs(w).max(), v
+
+        monkeypatch.setattr(np.linalg, "eigh", shifted)
+        with pytest.raises(ConvergenceError, match="residual"):
+            eigenpairs(_symmetric(6, 1))
+
+    def test_symmetric_solver_failure_is_a_convergence_error(self, monkeypatch):
+        def fails(a):
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fails)
+        with pytest.raises(ConvergenceError, match="no convergence"):
+            eigenvalues(_symmetric(4, 2))
 
 
 class TestSpectralRadius:
