@@ -108,10 +108,13 @@ def _wedge_radius(m):
     oscillatory matrix; and as neither column is constant or polynomial in
     i, neither constant row sums nor a polynomial invariant subspace of
     ``m`` holds the start span invariant. The iteration converges when
-    |lambda2| > |lambda3|. When it has not converged after 100 n steps, as
-    for a second eigenvalue in a complex pair, the exterior square is solved
-    densely under the cap of ``compound.exterior_square``; above the cap
-    ConvergenceError is raised.
+    |lambda2| > |lambda3|, and stops once ``||m q - q b||_F`` is at most
+    ``1e-13 * ||m||_F`` (``spectra._orthogonal_iteration``): a backward error
+    for ``m`` itself, so the radius stays accurate on non-normal input such
+    as a diagonal similarity D m D^-1. When it has not converged after 100 n
+    steps, as for a second eigenvalue in a complex pair, the exterior square
+    is solved densely under the cap of ``compound.exterior_square``; above
+    the cap ConvergenceError is raised.
     """
     n = m.shape[0]
     u = 1.0 + np.mod(np.arange(n) * _GOLDEN, 1.0)

@@ -69,13 +69,14 @@ def tabulated_kernel(values, nodes=None):
     """KernelSpec wrapping an N x N table of kernel samples.
 
     Without explicit nodes the samples are read as living on the uniform
-    midpoint grid t_i = (i + 1/2) / N.
+    midpoint grid t_i = (i + 1/2) / N. The spec holds its own copies of the
+    table and the nodes, never the caller's arrays.
     """
-    v = as_dense_matrix(values)
+    v = as_dense_matrix(values).copy()
     t = None
     if nodes is not None:
         try:
-            t = np.asarray(nodes, dtype=float).ravel()
+            t = np.array(nodes, dtype=float).ravel()
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"kernel nodes must be real numbers: {exc}") from None
         if t.size != v.shape[0]:

@@ -194,13 +194,18 @@ def _contiguous_order_two(m, amax, thresh, tol):
 
         minor >= -S * m[i,l] * m[k,j] >= -S * amax^2,
 
-    and S <= tol certifies every minor. The ratios are taken on m / amax, so
-    a power-of-two scaling leaves them exact and the products stay clear of
+    and S <= tol certifies every minor. Only cells whose contiguous minor is
+    not positive enter S (a zero may be an underflow): a positive minor means
+    r >= 1 up to rounding, a zero term. Leaving those cells out can only
+    lower S by rounding, so at the margin a certificate can only move from
+    undecided to certified. The ratios are taken on m / amax, so a
+    power-of-two scaling leaves them exact and the products stay clear of
     underflow. Zeros, a non-finite ratio or S > tol leave it undecided.
     """
     n = m.shape[0]
     count = (n - 1) ** 2
-    cont = m[:-1, :-1] * m[1:, 1:] - m[:-1, 1:] * m[1:, :-1]
+    cont = m[:-1, :-1] * m[1:, 1:]
+    cont -= m[:-1, 1:] * m[1:, :-1]
     i, j = map(int, np.unravel_index(int(np.argmin(cont)), cont.shape))
     low = float(cont[i, j])
     if low < thresh:
@@ -208,9 +213,11 @@ def _contiguous_order_two(m, amax, thresh, tol):
         return TNCertificate(2, False, witness, count, "exhaustive")
     if float(m.min()) <= 0.0:
         return None
-    s = m / amax
+    cells = cont <= 0.0
+    a, d = m[:-1, :-1][cells] / amax, m[1:, 1:][cells] / amax
+    b, c = m[:-1, 1:][cells] / amax, m[1:, :-1][cells] / amax
     with np.errstate(all="ignore"):
-        ratio = (s[:-1, :-1] * s[1:, 1:]) / (s[:-1, 1:] * s[1:, :-1])
+        ratio = (a * d) / (b * c)
     if not np.all(np.isfinite(ratio)):
         return None
     if float(np.maximum(0.0, 1.0 - ratio).sum()) > tol:

@@ -19,7 +19,7 @@ from .errors import ConvergenceError, DegeneratePerronError, ValidationError
 
 DEFAULT_TOL = 1e-9
 
-# Residual target of _orthogonal_iteration, relative to ||a||_F^k: a few
+# Residual target of _orthogonal_iteration, relative to ||a||_F: a few
 # hundred ulps, just above the rounding floor of one step.
 _ITERATION_TARGET = 1e-13
 
@@ -35,17 +35,24 @@ def as_dense_matrix(a):
     Returns
     -------
     numpy.ndarray
-        A float64 copy of shape (n, n), n >= 1.
+        Of shape (n, n), n >= 1: ``a`` itself when it already is a
+        C-contiguous float64 ndarray, otherwise a new float64 array. The
+        package never writes to the result, so input passed from layer to
+        layer is validated again but not copied again; a caller that keeps
+        the result past the call copies it (``tabulated_kernel`` does).
 
     Raises
     ------
     ValidationError
         If the input is not square, is empty, or contains NaN/Inf.
     """
-    try:
-        m = np.array(a, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"matrix entries must be real numbers: {exc}") from None
+    if type(a) is np.ndarray and a.dtype == np.float64 and a.flags.c_contiguous:
+        m = a
+    else:
+        try:
+            m = np.array(a, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"matrix entries must be real numbers: {exc}") from None
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[0] < 1:
@@ -180,17 +187,15 @@ def spectral_radius(s):
 def _orthogonal_iteration(a, start, max_iter):
     """Orthogonal iteration on the span of the k in {1, 2} columns of ``start``.
 
-    Returns ``(estimate, q, converged)`` with ``q`` orthonormal and
-    ``estimate = det(q^T a q)``. By Cauchy-Binet, (a q1) ^ (a q2) is the
-    wedge action on q1 ^ q2, so for k = 2 this is power iteration on the
-    exterior square at O(n^2) per step, and the estimate is its Rayleigh
-    quotient. It stops when the eigen-residual ``||y - estimate x||`` of that
-    problem is at most ``_ITERATION_TARGET * ||a||_F^k``. With z = a q,
-    b = q^T z, e = z - q b and f_i = b[i, 0] e2 - b[i, 1] e1, the squared
-    residual is ``||f1||^2 + ||f2||^2 + ||e1||^2 ||e2||^2 - (e1.e2)^2``, a sum
-    of orthogonal parts that, unlike ``||y||^2 - estimate^2``, does not
-    cancel; for k = 1 it is ``||e1||^2``. converged is False when the span is
-    still rotating after ``max_iter`` steps.
+    Returns ``(estimate, q, converged)`` with ``q`` orthonormal, b = q^T a q
+    and ``estimate`` = b[0, 0] for k = 1 or det b for k = 2. By Cauchy-Binet,
+    (a q1) ^ (a q2) is the wedge action on q1 ^ q2, so for k = 2 this is power
+    iteration on the exterior square at O(n^2) per step, and det b is its
+    Rayleigh quotient. It stops when ``||a q - q b||_F <= _ITERATION_TARGET *
+    ||a||_F``. That residual E is a backward error for ``a`` itself: q spans
+    an exact invariant subspace of a - E q^T, and the estimate is that
+    matrix's (Golub and Van Loan, Matrix Computations, sec. 7.3). converged is
+    False when the span is still rotating after ``max_iter`` steps.
     """
     k = start.shape[1]
     # Residuals in units of ||a||_F, taken without squaring the entries: no
@@ -202,18 +207,9 @@ def _orthogonal_iteration(a, start, max_iter):
     for _ in range(max_iter):
         z = a @ q
         b = q.T @ z
-        e = (z - q @ b) / unit
-        if k == 1:
-            estimate = float(b[0, 0])
-            residual_sq = float(e[:, 0] @ e[:, 0])
-        else:
-            estimate = float(b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0])
-            e1, e2 = e[:, 0], e[:, 1]
-            f = np.outer(b[:, 0] / unit, e2) - np.outer(b[:, 1] / unit, e1)
-            residual_sq = float(
-                np.sum(f * f) + (e1 @ e1) * (e2 @ e2) - (e1 @ e2) ** 2
-            )
-        if residual_sq <= _ITERATION_TARGET ** 2:
+        estimate = float(b[0, 0] if k == 1 else b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0])
+        e = ((z - q @ b) / unit).ravel()
+        if float(e @ e) <= _ITERATION_TARGET ** 2:
             return estimate, q, True
         q = np.linalg.qr(z)[0]
     return estimate, q, False

@@ -85,6 +85,18 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "/no/such/file.csv")
         assert code == 2
 
+    def test_diagonal_similarity_of_oscillatory_exit_0(self, capsys, tmp_path):
+        # D m D^-1 of an oscillatory draw that was refused with exit 3 while
+        # the wedge iteration stopped on a residual in the space of pairs
+        m = random_oscillatory(3, seed=56)
+        d = 2.0 ** np.random.default_rng(56).uniform(-4.0, 4.0, 3)
+        path = tmp_path / "similar.csv"
+        similar = d[:, None] * m / d[None, :]
+        path.write_text("\n".join(",".join(repr(float(x)) for x in row) for row in similar) + "\n")
+        code, out, err = run(capsys, "analyze", str(path), "--format", "json")
+        assert code == 0, err
+        assert json.loads(out)["classification"] == "second_eigenvalue_found"
+
     def test_text_and_json_numeric_parity(self, capsys, tridiag_csv):
         _, text_out, _ = run(capsys, "analyze", tridiag_csv)
         _, json_out, _ = run(capsys, "analyze", tridiag_csv, "--format", "json")

@@ -421,6 +421,58 @@ class TestWedgeRadius:
         assert _wedge_radius(m) <= 4 * eps * np.linalg.norm(m) ** 2
 
 
+def _similar(n, seed):
+    """random_oscillatory(n, seed) and its similarity D m D^-1, d = 2^U(-4, 4)."""
+    m = random_oscillatory(n, seed=seed)
+    d = 2.0 ** np.random.default_rng(seed).uniform(-4.0, 4.0, n)
+    return m, d[:, None] * m / d[None, :]
+
+
+# Draws that analyze refused under the similarity while the iteration stopped
+# on a residual in the space of pairs: non-normal input met it with
+# det(q^T m q) still 1e-8 to 1.2e-7 off rho_wedge.
+SIMILARITY_DRAWS = [(3, 56), (3, 64), (3, 66), (3, 79), (3, 82), (4, 1), (4, 72),
+                    (4, 98), (5, 79), (7, 40), (8, 25), (8, 79), (10, 11), (12, 31)]
+
+
+class TestDiagonalSimilarity:
+    @pytest.mark.parametrize("n, seed", SIMILARITY_DRAWS)
+    def test_similarity_keeps_the_verdict(self, n, seed):
+        m, similar = _similar(n, seed)
+        r, s = analyze(m), analyze(similar)
+        assert s.classification == r.classification == CLASS_SECOND
+        assert s.lambda1 == pytest.approx(r.lambda1, rel=1e-8)
+        assert s.lambda2 == pytest.approx(r.lambda2, rel=1e-8)
+
+    @pytest.mark.parametrize("m", [
+        _similar(3, 56)[1],
+        discretize(builtin_kernel("gaussian"), 60).discretized,
+    ], ids=["similar-3-56", "gaussian-60"])
+    def test_converged_span_is_invariant_to_target(self, m, monkeypatch):
+        # converged means ||a q - q b||_F <= 1e-13 ||a||_F with b = q^T a q,
+        # for the Perron column and the wedge pair alike
+        import wedgespec.gk as gkmod
+        import wedgespec.spectra as spectramod
+        from wedgespec import perron_pair
+
+        inner = spectramod._orthogonal_iteration
+        seen = []
+
+        def recorded(a, start, max_iter):
+            result = inner(a, start, max_iter)
+            seen.append((a, start.shape[1], result))
+            return result
+
+        monkeypatch.setattr(spectramod, "_orthogonal_iteration", recorded)
+        monkeypatch.setattr(gkmod, "_orthogonal_iteration", recorded)
+        perron_pair(m)
+        gkmod._wedge_radius(m)
+        assert [k for _, k, (_, _, ok) in seen if ok] == [1, 2]
+        for a, _, (_, q, _) in seen:
+            residual = np.linalg.norm(a @ q - q @ (q.T @ a @ q))
+            assert residual <= 1e-13 * np.linalg.norm(a)
+
+
 class TestVerifyTheorem1:
     def test_diagonal_products(self):
         rep = verify_theorem1(np.diag([1.0, 2.0]))

@@ -137,6 +137,15 @@ class TestDiscretize:
         assert abs(g.weights.sum() - 1.0) <= 1e-12
         np.testing.assert_allclose(g.weights, [0.2, 0.35, 0.45])
 
+    def test_tabulated_spec_owns_its_table_and_nodes(self):
+        table, nodes = np.array([[1.0, 0.5], [0.5, 1.0]]), np.array([0.2, 0.5])
+        spec = tabulated_kernel(table, nodes)
+        assert not np.shares_memory(spec.values, table)
+        assert not np.shares_memory(spec.nodes, nodes)
+        table[0, 1], nodes[1] = 7.0, 0.1
+        assert spec.values[0, 1] == 0.5
+        np.testing.assert_array_equal(discretize(spec, 2).nodes, [0.2, 0.5])
+
     @pytest.mark.parametrize("values, nodes", [
         ([[1.0, 0.5], [0.5, 1.0]], [0.2, "x"]),
         ([[1.0, 0.5], [0.5, 1.0]], [0.2, [0.5]]),

@@ -1,0 +1,42 @@
+"""Peak numpy memory of analyze and of the order-2 certificate.
+
+tracemalloc sees every buffer numpy allocates (not LAPACK's workspace), so
+the peak of one steady-state call counts the n x n temporaries a stage
+holds at once. The bounds are in units of one n x n float64 array.
+"""
+
+import tracemalloc
+
+import pytest
+
+from wedgespec import analyze, builtin_kernel, discretize
+from wedgespec.positivity import is_two_totally_nonnegative
+
+N = 300
+
+
+@pytest.fixture(scope="module")
+def grid():
+    return discretize(builtin_kernel("gaussian"), N).discretized
+
+
+def _peak_squares(fn, m):
+    fn(m)  # first-call costs stay out of the measurement
+    tracemalloc.start()
+    try:
+        fn(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (8 * N * N)
+
+
+def test_analyze_holds_at_most_four_squares(grid):
+    # the input is validated in place, not copied by each layer
+    assert _peak_squares(analyze, grid) <= 4.0
+
+
+def test_order_two_certificate_holds_at_most_three_squares(grid):
+    # the contiguous minors take one square and one product temporary; the
+    # cross-ratios are formed only on cells with a minor that is not positive
+    assert _peak_squares(is_two_totally_nonnegative, grid) <= 3.0

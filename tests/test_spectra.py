@@ -288,3 +288,15 @@ def test_as_dense_matrix_copy_and_dtype():
     m = as_dense_matrix([[1, 2], [3, 4]])
     assert m.dtype == np.float64
     assert m.shape == (2, 2)
+
+
+def test_as_dense_matrix_returns_validated_float64_array_itself():
+    m = np.array([[1.0, 2.0], [3.0, 4.0]])
+    assert as_dense_matrix(m) is m
+    # anything else is a new array: a list, another dtype, a strided view
+    for a in ([[1.0, 2.0], [3.0, 4.0]], m.astype(np.float32), m.T):
+        out = as_dense_matrix(a)
+        assert out is not a and not np.shares_memory(out, m)
+        np.testing.assert_array_equal(out, np.asarray(a, dtype=float))
+    with pytest.raises(ValidationError, match="NaN or Inf"):
+        as_dense_matrix(np.array([[1.0, np.nan], [0.0, 1.0]]))
