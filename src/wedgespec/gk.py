@@ -111,7 +111,12 @@ def _wedge_radius(m):
     |lambda2| > |lambda3|, and stops once ``||m q - q b||_F`` is at most
     ``1e-13 * ||m||_F`` (``spectra._orthogonal_iteration``): a backward error
     for ``m`` itself, so the radius stays accurate on non-normal input such
-    as a diagonal similarity D m D^-1. When it has not converged after 100 n
+    as a diagonal similarity D m D^-1. The iteration runs on ``m`` scaled by
+    the power of two that puts max|m| in [0.5, 1), so the radius of 2^k m is
+    exactly 4^k times that of m, and a step makes no LAPACK call: the pair
+    is orthonormalized by CholeskyQR2 on its 2x2 Gram matrix, with
+    Householder QR only for a numerically dependent pair (see
+    ``spectra._orthogonal_iteration``). When it has not converged after 100 n
     steps, as for a second eigenvalue in a complex pair, the exterior square
     is solved densely under the cap of ``compound.exterior_square``; above
     the cap ConvergenceError is raised.
@@ -159,10 +164,10 @@ def analyze(m, tol=DEFAULT_TOL, circle_tol=DEFAULT_CIRCLE_TOL,
         >= lambda1 * (1 - circle_tol). Exact circle membership has no
         floating-point meaning, so the threshold is part of the report.
     residual_tol : float
-        Cap on ``residual_theorem3``, the discrepancy between rho_wedge and
-        lambda1 |lambda2| from the dense spectrum, before the result is
-        refused as numerically inconsistent; checked for every
-        classification but degenerate_rho_zero.
+        A finite positive cap on ``residual_theorem3``, the discrepancy
+        between rho_wedge and lambda1 |lambda2| from the dense spectrum,
+        before the result is refused as numerically inconsistent; checked
+        for every classification but degenerate_rho_zero.
     seed : int
         Seed for the sampled order-2 hypothesis check, the last resort for
         matrices whose contiguous 2x2 minors do not decide it (zeros, or a
@@ -175,6 +180,7 @@ def analyze(m, tol=DEFAULT_TOL, circle_tol=DEFAULT_CIRCLE_TOL,
     """
     m = as_dense_matrix(m)
     _check_tol(tol)
+    _check_tol(residual_tol, "residual_tol")
     if not 0.0 < circle_tol < 1.0:
         raise ValidationError(f"circle_tol must be a real in (0, 1), got {circle_tol!r}")
     if m.shape[0] < 2:

@@ -11,6 +11,7 @@ Every function that returns a spectrum returns it in that order, so reports
 built on top of this module are deterministic for a fixed input.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,9 +78,9 @@ def require_nonnegative(m, tol):
         )
 
 
-def _check_tol(tol):
-    if not (isinstance(tol, (int, float)) and tol > 0):
-        raise ValidationError(f"tol must be a positive real, got {tol!r}")
+def _check_tol(tol, name="tol"):
+    if not (isinstance(tol, (int, float)) and 0 < tol < math.inf):
+        raise ValidationError(f"{name} must be a finite positive real, got {tol!r}")
 
 
 def sort_spectrum(values):
@@ -196,23 +197,53 @@ def _orthogonal_iteration(a, start, max_iter):
     an exact invariant subspace of a - E q^T, and the estimate is that
     matrix's (Golub and Van Loan, Matrix Computations, sec. 7.3). converged is
     False when the span is still rotating after ``max_iter`` steps.
+
+    The loop runs on a * 2^-e, with e the exponent that puts max|a| in
+    [0.5, 1), and scales the estimate back by 2^(k e). Both are exact, so
+    2^j a gives the same q and 2^(k j) times the estimate, and no norm can
+    overflow. A step makes no LAPACK call (``_orthonormalize``):
+    k = 1 normalizes, and k = 2 takes two passes of Cholesky QR on the 2x2
+    Gram matrix, orthonormal to rounding level for independent columns
+    (CholeskyQR2: Fukaya, Nakatsukasa, Yanagisawa and Yamamoto, ScalA 2014;
+    Yamamoto et al., ETNA 44, 2015). A zero iterate, a zero column, or a
+    second column whose part orthogonal to the first is at most 1e-6 of its
+    length falls back to Householder QR.
     """
     k = start.shape[1]
-    # Residuals in units of ||a||_F, taken without squaring the entries: no
-    # underflow or overflow at any scale, exact under power-of-two scaling.
-    amax = float(np.abs(a).max())
-    unit = amax * float(np.linalg.norm(a / amax)) if amax > 0.0 else 1.0
+    e = math.frexp(float(np.abs(a).max()))[1]  # 0 for a zero a, converged at once
+    a = np.ldexp(a, -e)
+    target = (_ITERATION_TARGET * float(np.linalg.norm(a))) ** 2
     q = np.linalg.qr(start)[0]
     estimate = 0.0
     for _ in range(max_iter):
         z = a @ q
-        b = q.T @ z
-        estimate = float(b[0, 0] if k == 1 else b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0])
-        e = ((z - q @ b) / unit).ravel()
-        if float(e @ e) <= _ITERATION_TARGET ** 2:
-            return estimate, q, True
-        q = np.linalg.qr(z)[0]
-    return estimate, q, False
+        # np.dot, not @, for the k-column products: on arrays this small it
+        # has the lower call overhead
+        b = np.dot(q.T, z)
+        bl = b.tolist()
+        estimate = bl[0][0] if k == 1 else bl[0][0] * bl[1][1] - bl[0][1] * bl[1][0]
+        r = z - np.dot(q, b)
+        if float(np.vdot(r, r)) <= target:
+            return float(np.ldexp(estimate, k * e)), q, True
+        q = _orthonormalize(z)
+    return float(np.ldexp(estimate, k * e)), q, False
+
+
+def _orthonormalize(z):
+    """Orthonormal basis of the span of the k <= 2 columns of ``z``: the
+    closed-form step of ``_orthogonal_iteration``, with its fallback."""
+    if z.shape[1] == 1:
+        zz = float(np.vdot(z, z))
+        return z / math.sqrt(zz) if zz > 0.0 else np.linalg.qr(z)[0]
+    for _ in range(2):
+        (g00, g01), (_, g11) = np.dot(z.T, z).tolist()
+        if not (g00 > 0.0 and g11 - g01 * g01 / g00 > 1e-12 * g11):
+            return np.linalg.qr(z)[0]
+        r00 = math.sqrt(g00)
+        r01 = g01 / r00
+        r11 = math.sqrt(g11 - r01 * r01)
+        z = np.dot(z, ((1.0 / r00, -r01 / (r00 * r11)), (0.0, 1.0 / r11)))
+    return z
 
 
 def perron_pair(m, tol=DEFAULT_TOL, max_iter=None):

@@ -81,6 +81,15 @@ class TestAnalyze:
         assert (code, out) == (2, "")
         assert "circle_tol" in err
 
+    def test_infinite_tol_exit_2(self, capsys, tmp_path):
+        # an oscillatory matrix, which an infinite tol reported as degenerate
+        path = tmp_path / "osc.csv"
+        m = random_oscillatory(5, seed=1)
+        path.write_text("\n".join(",".join(repr(float(x)) for x in row) for row in m) + "\n")
+        code, out, err = run(capsys, "analyze", str(path), "--tol", "inf")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "tol" in err
+
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run(capsys, "analyze", "/no/such/file.csv")
         assert code == 2

@@ -108,6 +108,12 @@ class TestAnalyzeExamples:
         with pytest.raises(ValidationError, match="circle_tol"):
             analyze(np.diag([3.0, 2.0, 1.0]), circle_tol=circle_tol)
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -1.0, 0.0])
+    @pytest.mark.parametrize("name", ["tol", "residual_tol"])
+    def test_tolerance_not_finite_positive_rejected(self, name, value):
+        with pytest.raises(ValidationError, match=f"^{name} must be a finite positive real"):
+            analyze(random_oscillatory(4, seed=0), **{name: value})
+
     def test_planted_contiguous_minor_above_the_budget(self):
         # green n=100 has C(100,2)^2 minors, above the exhaustive budget; the
         # contiguous scan still finds the planted one
@@ -357,7 +363,7 @@ class TestWedgeRadius:
         dense = float(np.abs(eigenvalues(exterior_square(m, force=True))).max())
         assert _wedge_radius(m) == pytest.approx(dense, rel=1e-10)
 
-    @pytest.mark.parametrize("k", [-40, -8, 2, 40])
+    @pytest.mark.parametrize("k", [-500, -40, -8, 2, 40, 480])
     def test_exact_even_power_of_two_scaling(self, k):
         from wedgespec.gk import _wedge_radius
 
@@ -452,25 +458,120 @@ class TestDiagonalSimilarity:
         # converged means ||a q - q b||_F <= 1e-13 ||a||_F with b = q^T a q,
         # for the Perron column and the wedge pair alike
         import wedgespec.gk as gkmod
-        import wedgespec.spectra as spectramod
         from wedgespec import perron_pair
 
-        inner = spectramod._orthogonal_iteration
-        seen = []
-
-        def recorded(a, start, max_iter):
-            result = inner(a, start, max_iter)
-            seen.append((a, start.shape[1], result))
-            return result
-
-        monkeypatch.setattr(spectramod, "_orthogonal_iteration", recorded)
-        monkeypatch.setattr(gkmod, "_orthogonal_iteration", recorded)
+        seen = _record_iterations(monkeypatch)
         perron_pair(m)
         gkmod._wedge_radius(m)
         assert [k for _, k, (_, _, ok) in seen if ok] == [1, 2]
         for a, _, (_, q, _) in seen:
             residual = np.linalg.norm(a @ q - q @ (q.T @ a @ q))
             assert residual <= 1e-13 * np.linalg.norm(a)
+
+
+def _record_iterations(monkeypatch):
+    """Record (a, k, (estimate, q, converged)) of every orthogonal iteration."""
+    import wedgespec.gk as gkmod
+    import wedgespec.spectra as spectramod
+
+    inner = spectramod._orthogonal_iteration
+    seen = []
+
+    def recorded(a, start, max_iter):
+        result = inner(a, start, max_iter)
+        seen.append((a, start.shape[1], result))
+        return result
+
+    monkeypatch.setattr(spectramod, "_orthogonal_iteration", recorded)
+    monkeypatch.setattr(gkmod, "_orthogonal_iteration", recorded)
+    return seen
+
+
+@pytest.fixture
+def qr_calls(monkeypatch):
+    """Record the argument shape of every np.linalg.qr call; spectra looks it up per call."""
+    import wedgespec.spectra as spectramod
+
+    inner = np.linalg.qr
+    shapes = []
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return inner(a, *args, **kwargs)
+
+    monkeypatch.setattr(spectramod.np.linalg, "qr", counted)
+    return shapes
+
+
+def _orthonormality_error(q):
+    return float(np.abs(q.T @ q - np.eye(q.shape[1])).max())
+
+
+class TestOrthonormalization:
+    @pytest.mark.parametrize("m", [
+        discretize(builtin_kernel("gaussian"), 60).discretized,
+        discretize(builtin_kernel("green_string"), 50).discretized,
+        random_oscillatory(10, seed=3),
+        _similar(3, 56)[1],
+    ], ids=["gaussian-60", "green-50", "oscillatory-10-3", "similar-3-56"])
+    def test_converged_q_is_orthonormal(self, m, monkeypatch):
+        seen = _record_iterations(monkeypatch)
+        analyze(m)
+        assert [k for _, k, (_, _, ok) in seen if ok] == [1, 2]
+        for _, _, (_, q, _) in seen:
+            assert _orthonormality_error(q) <= 1e-14
+
+    @pytest.mark.parametrize("m", [
+        discretize(builtin_kernel("green_string"), 50).discretized,
+        random_oscillatory(10, seed=3),
+    ], ids=["green-50", "oscillatory-10-3"])
+    def test_no_householder_qr_inside_the_loop(self, m, qr_calls):
+        # one QR of the start columns per iteration, Perron and wedge; each
+        # step orthonormalizes in closed form
+        analyze(m)
+        assert qr_calls == [(m.shape[0], 1), (m.shape[0], 2)]
+
+    @pytest.mark.parametrize("z", [
+        np.column_stack([np.arange(1.0, 6.0), 2.0 * np.arange(1.0, 6.0)]),
+        np.column_stack([np.arange(1.0, 6.0), np.zeros(5)]),
+        np.column_stack([np.zeros(5), np.arange(1.0, 6.0)]),
+        np.zeros((5, 2)),
+        np.zeros((5, 1)),
+    ], ids=["parallel", "zero-second", "zero-first", "zero-pair", "zero-column"])
+    def test_dependent_columns_fall_back_to_householder(self, z, qr_calls):
+        from wedgespec.spectra import _orthonormalize
+
+        q = _orthonormalize(z)
+        assert qr_calls == [z.shape]
+        assert q.shape == z.shape and _orthonormality_error(q) <= 1e-14
+        # the span of z lies in the span of q
+        assert np.abs(z - q @ (q.T @ z)).max() <= 1e-14 * max(1.0, np.abs(z).max())
+
+    @pytest.mark.parametrize("m", [
+        np.diag([1.0, 0.0, 0.0]),
+        np.outer([1.0, 2.0, 3.0, 4.0], [4.0, 1.0, 0.5, 2.0]),
+    ], ids=["diag-1-0-0", "outer"])
+    def test_rank_one_wedge_takes_the_fallback(self, m, monkeypatch, qr_calls):
+        # m q has parallel columns, so the step falls back to Householder QR
+        import wedgespec.gk as gkmod
+
+        seen = _record_iterations(monkeypatch)
+        radius = gkmod._wedge_radius(m)
+        assert len(qr_calls) >= 2
+        assert radius <= 4 * np.finfo(float).eps * np.linalg.norm(m) ** 2
+        [(_, _, (_, q, ok))] = seen
+        assert ok and _orthonormality_error(q) <= 1e-14
+
+    def test_tiny_second_eigenvalue_keeps_its_radius(self, monkeypatch):
+        # the second column of a m q is 1e-9 of the first
+        import wedgespec.gk as gkmod
+
+        basis = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))[0]
+        m = basis @ np.diag([1.0, 1e-9, 5e-10, 1e-10]) @ basis.T
+        seen = _record_iterations(monkeypatch)
+        assert gkmod._wedge_radius(m) == pytest.approx(1e-9, rel=1e-7)
+        [(_, _, (_, q, ok))] = seen
+        assert ok and _orthonormality_error(q) <= 1e-14
 
 
 class TestVerifyTheorem1:

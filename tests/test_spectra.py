@@ -202,6 +202,17 @@ class TestPerronPair:
         assert lam == pytest.approx(2.0 ** k * spectral_radius(eigenvalues(m)), rel=1e-12)
         assert v.min() >= 0.0
 
+    @pytest.mark.parametrize("k", [-500, -40, 40, 480])
+    def test_exact_power_of_two_scaling(self, k):
+        from wedgespec import random_oscillatory
+
+        m = random_oscillatory(7, seed=11)
+        c = 2.0 ** k
+        lam, v = perron_pair(m)
+        lam_c, v_c = perron_pair(c * m)
+        assert lam_c == lam * c
+        assert np.array_equal(v_c, v)
+
     def test_imprimitive_fallback(self):
         # A^2 = I, eigenvalues +-1; power iteration stagnates and the dense
         # fallback must still produce the nonnegative eigenvector of +1.
