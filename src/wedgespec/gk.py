@@ -14,9 +14,9 @@ size; the exterior square is built and solved only when that stagnates.
 Whatever the classification, it must equal lambda1 |lambda2| from the dense
 spectrum within ``residual_tol``. The dense solve is ``spectra.eigenpairs``,
 which takes the symmetric solver on exactly symmetric input (every kernel
-grid) and the general one otherwise. lambda1 comes from that solve; for
-nonnegative input, power iteration from the all-ones vector checks it when it
-converges.
+grid) and the general one otherwise. lambda1 comes from that solve, and the
+same iteration checks it: a converged pair spans the dominant invariant
+subspace, whose 2x2 Ritz matrix carries lambda1.
 """
 
 from dataclasses import dataclass
@@ -98,7 +98,8 @@ class VerificationReport:
 
 
 def _wedge_radius(m):
-    """Spectral radius of the exterior square of ``m``.
+    """Spectral radius of the exterior square of ``m``, and lambda1 read
+    from the same iteration (None when it cannot be read).
 
     Two-column orthogonal iteration on ``m`` (power iteration on the wedge
     action) from the columns u and u * S, where u_i = 1 + frac(i * phi) lies
@@ -116,17 +117,21 @@ def _wedge_radius(m):
     exactly 4^k times that of m, and a step makes no LAPACK call: the pair
     is orthonormalized by CholeskyQR2 on its 2x2 Gram matrix, with
     Householder QR only for a numerically dependent pair (see
-    ``spectra._orthogonal_iteration``). When it has not converged after 100 n
-    steps, as for a second eigenvalue in a complex pair, the exterior square
-    is solved densely under the cap of ``compound.exterior_square``; above
-    the cap ConvergenceError is raised.
+    ``spectra._orthogonal_iteration``). A converged q spans the dominant
+    invariant subspace, so its Ritz matrix q^T m q has spectral radius
+    lambda1 (Golub and Van Loan, sec. 7.3). When it has not converged after
+    100 n steps, as for a second eigenvalue in a complex pair, the exterior
+    square is solved densely under the cap of ``compound.exterior_square``;
+    above the cap ConvergenceError is raised. Both QR routes keep R upper
+    triangular, so the stalled pair's first column is the power iterate of
+    u, and one more step reads lambda1 from it if it has converged.
     """
     n = m.shape[0]
     u = 1.0 + np.mod(np.arange(n) * _GOLDEN, 1.0)
     start = np.column_stack([u, u * np.cumsum(u)])
-    lam, _, ok = _orthogonal_iteration(m, start, 100 * n)
+    lam, q, ok = _orthogonal_iteration(m, start, 100 * n)
     if ok:
-        return abs(lam)
+        return abs(lam), spectral_radius(eigenvalues(q.T @ m @ q))
     try:
         square = compound.exterior_square(m)
     except ResourceLimitError:
@@ -135,7 +140,8 @@ def _wedge_radius(m):
             f"exterior square of this {n}x{n} matrix is too large to solve "
             "densely; its wedge spectrum has no dominant eigenvalue"
         ) from None
-    return spectral_radius(eigenvalues(square))
+    lam, _, ok = _orthogonal_iteration(m, q[:, :1], 1)
+    return spectral_radius(eigenvalues(square)), abs(lam) if ok else None
 
 
 def _real_eigenvector(col, tol):
@@ -151,6 +157,9 @@ def _real_eigenvector(col, tol):
 def analyze(m, tol=DEFAULT_TOL, circle_tol=DEFAULT_CIRCLE_TOL,
             residual_tol=DEFAULT_RESIDUAL_TOL, seed=0):
     """Full second-eigenvalue analysis of a real square matrix.
+
+    lambda1 comes from the dense solve and must agree within 1e-6 lambda1
+    with the wedge iteration's reading of it (see ``_wedge_radius``).
 
     Parameters
     ----------
@@ -196,17 +205,12 @@ def analyze(m, tol=DEFAULT_TOL, circle_tol=DEFAULT_CIRCLE_TOL,
     lambda1 = float(moduli[0])
     degenerate = lambda1 <= tol * amax
 
-    # lambda1 comes from the dense solve; for nonnegative input a converged
-    # power iteration must agree with it. An unconverged one checks nothing.
-    if cert1.verdict and not degenerate:
-        lam_p, _, ok = _orthogonal_iteration(m, np.ones((n, 1)), 100 * n)
-        if ok and abs(lam_p - lambda1) > 1e-6 * lambda1:
-            raise ConvergenceError(
-                f"Perron iteration ({lam_p:.12g}) and the dense solve "
-                f"({lambda1:.12g}) disagree on the spectral radius"
-            )
-
-    rho_wedge = _wedge_radius(m)
+    rho_wedge, lam_w = _wedge_radius(m)
+    if not degenerate and lam_w is not None and abs(lam_w - lambda1) > 1e-6 * lambda1:
+        raise ConvergenceError(
+            f"orthogonal iteration ({lam_w:.12g}) and the dense solve "
+            f"({lambda1:.12g}) disagree on the spectral radius"
+        )
     residual = abs(rho_wedge - lambda1 * float(moduli[1])) / max(1.0, rho_wedge)
 
     def build(classification, lambda2=None, complex_pair=None, s1=None, s2=None,

@@ -332,7 +332,8 @@ class MatchReport:
     ``pairs`` holds the accepted (a, b) value pairs, ``max_residual`` the
     largest |a - b| over accepted pairs, and the leftovers whatever could
     not be matched on each side. ``tolerance`` is the absolute threshold
-    actually applied, tol * max(1, largest modulus seen).
+    actually applied, tol * (largest modulus seen): it follows the scale of
+    the spectra, so matching c a against c b decides as a against b.
     """
 
     matched: bool
@@ -344,7 +345,7 @@ class MatchReport:
 
 
 def multiset_match(a, b, tol):
-    """Match two spectra as multisets within ``tol * max(1, max modulus)``.
+    """Match two spectra as multisets within ``tol * max modulus``.
 
     A greedy pass walks ``a`` in canonical (modulus-descending) order and
     pairs each value with the nearest unmatched value of ``b`` within that
@@ -356,13 +357,7 @@ def multiset_match(a, b, tol):
     _check_tol(tol)
     av = sort_spectrum(np.asarray(a, dtype=complex))
     bv = sort_spectrum(np.asarray(b, dtype=complex))
-    top = 0.0
-    if av.size or bv.size:
-        top = max(
-            float(np.abs(av).max()) if av.size else 0.0,
-            float(np.abs(bv).max()) if bv.size else 0.0,
-        )
-    thresh = tol * max(1.0, top)
+    thresh = tol * float(np.abs(np.concatenate([av, bv])).max(initial=0.0))
 
     partner = np.full(av.size, -1)  # index into bv, -1 when unmatched
     owner = np.full(bv.size, -1)  # index into av, -1 when unmatched

@@ -374,10 +374,36 @@ def test_analyze_leaves_numpy_random_unimported():
         "    assert wedgespec.analyze(m).classification == 'second_eigenvalue_found'\n"
         "print('numpy' in sys.modules, 'numpy.random' in sys.modules)\n"
     )
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["True", "False"]
+
+
+def _python(*args):
+    """Run a fresh interpreter with this checkout's src first on its path."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.split() == ["True", "False"]
+
+
+def _csv(rows):
+    return "\n".join(",".join(repr(float(x)) for x in row) for row in rows) + "\n"
+
+
+@pytest.mark.parametrize("command, text, code", [
+    (["analyze"], _csv(random_oscillatory(5, seed=0)), 0),
+    # rows 0, 1 and columns 1, 2 give the minor 1 * 1 - 5 * 2
+    (["tn-check", "--order", "2"], _csv([[2.0, 1.0, 5.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]]), 1),
+    (["analyze"], "1.0,2.0\n3.0\n", 2),
+    # a complex lambda2 stalls the wedge pair, and the exterior square of a
+    # 50 x 50 matrix is over the cap
+    (["analyze"], _csv(np.random.default_rng(1).uniform(0.5, 1.0, (50, 50))), 3),
+], ids=["oscillatory-0", "planted-violation-1", "ragged-2", "stalled-wedge-3"])
+def test_module_process_exit_code(tmp_path, command, text, code):
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    proc = _python("-m", "wedgespec.cli", *command, str(path))
+    assert proc.returncode == code, proc.stderr[-2000:]
+    assert (proc.stdout == "") == (code >= 2)

@@ -57,6 +57,21 @@ class TestAnalyzeExamples:
         explicit = np.abs(eigenvalues(exterior_square(TRIDIAG))).max()
         assert r.rho_wedge == pytest.approx(explicit, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [
+        60,
+        # lambda3 / lambda2 = 0.9981 at n = 80: the wedge pair needs more
+        # than 100 n steps, and the exterior square is over the cap (ROADMAP
+        # item 5, iteration budgets sized by the dense spectrum)
+        pytest.param(80, marks=pytest.mark.xfail(strict=True, raises=ConvergenceError)),
+    ])
+    def test_long_tridiagonal_closed_form(self, n):
+        # eigenvalues 2 + 2 cos(k pi / (n + 1)), k = 1..n
+        m = 2.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)
+        r = analyze(m)
+        assert r.classification == CLASS_SECOND
+        assert r.lambda2 == pytest.approx(2.0 + 2.0 * math.cos(2 * math.pi / (n + 1)),
+                                          rel=1e-10)
+
     def test_three_cycle_complex_pair(self):
         r = analyze(THREE_CYCLE)
         assert r.classification == CLASS_COMPLEX_PAIR
@@ -194,7 +209,7 @@ class TestAnalyzeProperties:
         dense = np.abs(eigenvalues(exterior_square(m, force=True))).max()
         w = np.abs(eigenvalues(m))
         assert dense == pytest.approx(w[0] * w[1], rel=1e-9)
-        implicit = gkmod._wedge_radius(m)
+        implicit = gkmod._wedge_radius(m)[0]
         assert implicit == pytest.approx(dense, rel=1e-9)
 
     def test_implicit_route_refuses_rotating_wedge_spectrum(self):
@@ -269,18 +284,42 @@ def iterations(monkeypatch):
     return steps, converged
 
 
+def _perturb_ritz_radius(monkeypatch, factor):
+    """Scale the eigenvalues of every 2x2 matrix gk solves: the Ritz matrix
+    of the wedge pair."""
+    import wedgespec.gk as gkmod
+
+    inner = gkmod.eigenvalues
+    monkeypatch.setattr(gkmod, "eigenvalues", lambda a: inner(a) * (
+        factor if np.shape(a) == (2, 2) else 1.0))
+
+
 class TestPerronCheck:
+    # lambda1 is checked by the wedge pair alone: by the spectral radius of
+    # its Ritz matrix q^T m q when it converges, and by one k = 1 step on its
+    # first column when it stalls
     def test_bipartite_stall_checks_nothing_and_solves_once(self, iterations, monkeypatch):
-        # +-rho share the spectral circle, so power iteration cannot converge;
-        # the check then makes no second dense solve of the same matrix. The
-        # matrix is symmetric, so its one solve is eigh; every solver is counted.
+        # +-rho share the spectral circle, so power iteration would stall;
+        # the pair spans both eigenvectors and converges, so no k = 1 loop
+        # runs and the dense solve is not repeated. The matrix is symmetric,
+        # so its one n x n solve is eigh.
         steps, converged = iterations
-        solves = _count_solvers(monkeypatch)
+        solves = _count_solvers(monkeypatch, n=40)
         r = analyze(_bipartite(20))
         assert r.classification == CLASS_MULTIPLE and r.circle_count == 2
-        assert converged == {1: [False], 2: [True]}
-        assert steps[1] == 100 * 40
+        assert converged == {1: [], 2: [True]}
+        assert steps[1] == 0
         assert solves == ["eigh"]
+
+    def test_bipartite_400_checks_lambda1_without_blind_steps(self, iterations, monkeypatch):
+        steps, converged = iterations
+        m = _bipartite(200)
+        assert analyze(m).classification == CLASS_MULTIPLE
+        assert converged == {1: [], 2: [True]}
+        assert steps[1] == 0 and steps[2] < 100
+        _perturb_ritz_radius(monkeypatch, 1 + 2e-6)
+        with pytest.raises(ConvergenceError, match="disagree on the spectral radius"):
+            analyze(m)
 
     def test_complex_second_eigenvalue_uses_dense_wedge_fallback(self, iterations):
         steps, converged = iterations
@@ -288,28 +327,27 @@ class TestPerronCheck:
         r = analyze(m)
         assert abs(r.spectrum[1].imag) > 1e-8
         assert converged == {1: [True], 2: [False]}
+        assert steps[1] == 1
         assert r.rho_wedge == pytest.approx(_dense_wedge_radius(m), rel=1e-12)
 
-    def test_green_converges_through_both_loops(self, iterations):
-        from wedgespec import builtin_kernel, discretize
-
-        steps, converged = iterations
-        r = analyze(discretize(builtin_kernel("green_string"), 50).discretized)
-        assert r.classification == CLASS_SECOND
-        assert converged == {1: [True], 2: [True]}
-        assert 0 < steps[1] < 100 * 50 and 0 < steps[2] < 100 * 50
-
-    @pytest.mark.parametrize("n, seed", [(3, 0), (5, 1), (8, 2), (10, 3)])
-    def test_oscillatory_converges_through_both_loops(self, iterations, n, seed):
-        steps, converged = iterations
-        r = analyze(random_oscillatory(n, seed=seed))
-        assert r.classification == CLASS_SECOND
-        assert converged == {1: [True], 2: [True]}
-
-    def test_perron_disagreement_is_refused(self, monkeypatch):
+    def test_stalled_pair_checks_lambda1_from_its_first_column(self, monkeypatch):
         import wedgespec.gk as gkmod
 
         inner = gkmod._orthogonal_iteration
+        calls = []
+
+        def recorded(a, start, max_iter):
+            result = inner(a, start, max_iter)
+            calls.append((start, max_iter, result))
+            return result
+
+        monkeypatch.setattr(gkmod, "_orthogonal_iteration", recorded)
+        m = np.random.default_rng(1).uniform(0.5, 1.0, (40, 40))
+        lambda1 = analyze(m).lambda1
+        (_, _, (_, q, ok)), (start, max_iter, (lam, _, ok1)) = calls
+        assert not ok and ok1 and max_iter == 1
+        assert np.array_equal(start, q[:, :1])
+        assert lam == pytest.approx(lambda1, rel=1e-12)
 
         def off(a, start, max_iter):
             lam, q, ok = inner(a, start, max_iter)
@@ -317,20 +355,60 @@ class TestPerronCheck:
 
         monkeypatch.setattr(gkmod, "_orthogonal_iteration", off)
         with pytest.raises(ConvergenceError, match="disagree on the spectral radius"):
+            analyze(m)
+
+    def test_green_converges_through_both_loops(self, iterations):
+        # one loop gives both rho_wedge and the lambda1 check
+        from wedgespec import builtin_kernel, discretize
+
+        steps, converged = iterations
+        r = analyze(discretize(builtin_kernel("green_string"), 50).discretized)
+        assert r.classification == CLASS_SECOND
+        assert converged == {1: [], 2: [True]}
+        assert steps[1] == 0 and 0 < steps[2] < 100 * 50
+
+    @pytest.mark.parametrize("n, seed", [(3, 0), (5, 1), (8, 2), (10, 3)])
+    def test_oscillatory_converges_through_both_loops(self, iterations, n, seed):
+        # one loop gives both rho_wedge and the lambda1 check
+        steps, converged = iterations
+        r = analyze(random_oscillatory(n, seed=seed))
+        assert r.classification == CLASS_SECOND
+        assert converged == {1: [], 2: [True]}
+
+    def test_perron_disagreement_is_refused(self, monkeypatch):
+        _perturb_ritz_radius(monkeypatch, 1 + 2e-6)
+        with pytest.raises(ConvergenceError, match="disagree on the spectral radius"):
             analyze(TRIDIAG)
 
+    def test_lambda1_is_checked_outside_the_order_one_certificate(self, monkeypatch):
+        # the signature similarity J TRIDIAG J has negative entries and the
+        # spectrum of TRIDIAG
+        m = np.diag([1.0, -1.0, 1.0]) @ TRIDIAG @ np.diag([1.0, -1.0, 1.0])
+        r = analyze(m)
+        assert not r.hypothesis_certificates[0].verdict
+        assert r.classification == CLASS_VIOLATED
+        _perturb_ritz_radius(monkeypatch, 1 + 2e-6)
+        with pytest.raises(ConvergenceError, match="disagree on the spectral radius"):
+            analyze(m)
+
     def test_unconverged_perron_iteration_checks_nothing(self, monkeypatch):
+        # the pair stalls, and its first column's k = 1 step reports no
+        # convergence: its reading is ignored
         import wedgespec.gk as gkmod
 
         inner = gkmod._orthogonal_iteration
-        expected = analyze(TRIDIAG)
+        m = np.random.default_rng(1).uniform(0.5, 1.0, (40, 40))
+        expected = analyze(m)
+        ks = []
 
         def stalled(a, start, max_iter):
+            ks.append(start.shape[1])
             lam, q, ok = inner(a, start, max_iter)
             return (lam + 1.0, q, False) if start.shape[1] == 1 else (lam, q, ok)
 
         monkeypatch.setattr(gkmod, "_orthogonal_iteration", stalled)
-        assert analyze(TRIDIAG) == expected
+        assert analyze(m) == expected
+        assert ks == [2, 1]
 
     @pytest.mark.parametrize("k", [20, -30])
     def test_tiny_negative_entry_keeps_its_verdict(self, k):
@@ -350,7 +428,7 @@ class TestWedgeRadius:
         from wedgespec.gk import _wedge_radius
 
         m = random_oscillatory(n, seed=7000 + n)
-        assert _wedge_radius(m) == pytest.approx(_dense_wedge_radius(m), rel=1e-10)
+        assert _wedge_radius(m)[0] == pytest.approx(_dense_wedge_radius(m), rel=1e-10)
 
     @pytest.mark.parametrize("name", ["green_string", "gaussian", "cauchy"])
     @pytest.mark.parametrize("n", [44, 46])
@@ -361,7 +439,7 @@ class TestWedgeRadius:
 
         m = discretize(builtin_kernel(name), n).discretized
         dense = float(np.abs(eigenvalues(exterior_square(m, force=True))).max())
-        assert _wedge_radius(m) == pytest.approx(dense, rel=1e-10)
+        assert _wedge_radius(m)[0] == pytest.approx(dense, rel=1e-10)
 
     @pytest.mark.parametrize("k", [-500, -40, -8, 2, 40, 480])
     def test_exact_even_power_of_two_scaling(self, k):
@@ -369,7 +447,7 @@ class TestWedgeRadius:
 
         m = random_oscillatory(7, seed=11)
         c = 2.0 ** k
-        assert _wedge_radius(c * m) == _wedge_radius(m) * c * c
+        assert _wedge_radius(c * m)[0] == _wedge_radius(m)[0] * c * c
 
     def test_three_cycle_uses_dense_fallback(self):
         # every wedge eigenvalue of the 3-cycle has modulus 1, so the
@@ -379,7 +457,7 @@ class TestWedgeRadius:
 
         start = np.column_stack([np.ones(3), np.arange(3.0)])
         assert not _orthogonal_iteration(THREE_CYCLE, start, 300)[2]
-        assert _wedge_radius(THREE_CYCLE) == pytest.approx(1.0, rel=1e-12)
+        assert _wedge_radius(THREE_CYCLE)[0] == pytest.approx(1.0, rel=1e-12)
 
     @pytest.mark.parametrize("c", [1.0, 5.0])
     def test_start_outside_polynomial_invariant_subspace(self, c):
@@ -409,7 +487,12 @@ class TestWedgeRadius:
 
         assert analyze(m).classification == classification
         inner = gkmod._wedge_radius
-        monkeypatch.setattr(gkmod, "_wedge_radius", lambda a: 1.5 * inner(a))
+
+        def wrong(a):
+            radius, lambda1 = inner(a)
+            return 1.5 * radius, lambda1
+
+        monkeypatch.setattr(gkmod, "_wedge_radius", wrong)
         with pytest.raises(ConvergenceError, match="two routes"):
             analyze(m)
 
@@ -424,7 +507,7 @@ class TestWedgeRadius:
         from wedgespec.gk import _wedge_radius
 
         eps = np.finfo(float).eps
-        assert _wedge_radius(m) <= 4 * eps * np.linalg.norm(m) ** 2
+        assert _wedge_radius(m)[0] <= 4 * eps * np.linalg.norm(m) ** 2
 
 
 def _similar(n, seed):
@@ -517,7 +600,7 @@ class TestOrthonormalization:
     def test_converged_q_is_orthonormal(self, m, monkeypatch):
         seen = _record_iterations(monkeypatch)
         analyze(m)
-        assert [k for _, k, (_, _, ok) in seen if ok] == [1, 2]
+        assert [k for _, k, (_, _, ok) in seen if ok] == [2]
         for _, _, (_, q, _) in seen:
             assert _orthonormality_error(q) <= 1e-14
 
@@ -526,10 +609,9 @@ class TestOrthonormalization:
         random_oscillatory(10, seed=3),
     ], ids=["green-50", "oscillatory-10-3"])
     def test_no_householder_qr_inside_the_loop(self, m, qr_calls):
-        # one QR of the start columns per iteration, Perron and wedge; each
-        # step orthonormalizes in closed form
+        # one QR of the start pair; each step orthonormalizes in closed form
         analyze(m)
-        assert qr_calls == [(m.shape[0], 1), (m.shape[0], 2)]
+        assert qr_calls == [(m.shape[0], 2)]
 
     @pytest.mark.parametrize("z", [
         np.column_stack([np.arange(1.0, 6.0), 2.0 * np.arange(1.0, 6.0)]),
@@ -556,7 +638,7 @@ class TestOrthonormalization:
         import wedgespec.gk as gkmod
 
         seen = _record_iterations(monkeypatch)
-        radius = gkmod._wedge_radius(m)
+        radius = gkmod._wedge_radius(m)[0]
         assert len(qr_calls) >= 2
         assert radius <= 4 * np.finfo(float).eps * np.linalg.norm(m) ** 2
         [(_, _, (_, q, ok))] = seen
@@ -569,7 +651,7 @@ class TestOrthonormalization:
         basis = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))[0]
         m = basis @ np.diag([1.0, 1e-9, 5e-10, 1e-10]) @ basis.T
         seen = _record_iterations(monkeypatch)
-        assert gkmod._wedge_radius(m) == pytest.approx(1e-9, rel=1e-7)
+        assert gkmod._wedge_radius(m)[0] == pytest.approx(1e-9, rel=1e-7)
         [(_, _, (_, q, ok))] = seen
         assert ok and _orthonormality_error(q) <= 1e-14
 
@@ -610,6 +692,18 @@ class TestVerifyTheorem2:
         m = rng.standard_normal((2, 2))
         rep = verify_theorem2(m)
         assert rep.matched  # single product lambda1*lambda2 = det m
+
+    @pytest.mark.parametrize("c", [1.0, 2.0 ** -20], ids=["1", "2^-20"])
+    def test_perturbed_square_is_refused_at_every_scale(self, c, monkeypatch):
+        # at c = 2^-20 the products are near 1e-10, inside an absolute 1e-8
+        import wedgespec.gk as gkmod
+
+        m = c * random_tn(6, seed=3)
+        assert verify_theorem2(m).matched
+        inner = gkmod.compound.exterior_square
+        monkeypatch.setattr(gkmod.compound, "exterior_square",
+                            lambda a, force=False: inner(a, force=force) * (1 + 1e-6))
+        assert not verify_theorem2(m).matched
 
     def test_complex_spectrum_pairing(self):
         rng = np.random.default_rng(99)

@@ -136,7 +136,7 @@ def _most_pairs(a, b, thresh):
 @given(st.lists(st.integers(0, 5), max_size=4), st.lists(st.integers(0, 5), max_size=4))
 def test_match_is_maximum(xs, ys):
     # values on a grid of t/2, so pairs two steps apart are within the
-    # threshold t * max(1, top) and pairs three steps apart are not
+    # threshold t * top and pairs three steps apart are not
     t = 1e-3
     a = [1.0 + 0.5 * t * x for x in xs]
     b = [1.0 + 0.5 * t * y for y in ys]

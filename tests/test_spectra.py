@@ -85,13 +85,20 @@ class TestEigenpairs:
         np.testing.assert_array_equal(w, eigenvalues(m))
 
 
-def _count_solvers(monkeypatch):
-    """Record, by name, every dense numpy eigensolver call."""
+def _count_solvers(monkeypatch, n=None):
+    """Record, by name, every dense numpy eigensolver call, or only those on
+    n x n input when ``n`` is given."""
     calls = []
+
+    def counted(name, inner):
+        def solve(a):
+            if n is None or len(a) == n:
+                calls.append(name)
+            return inner(a)
+        return solve
+
     for name in ("eig", "eigh", "eigvals", "eigvalsh"):
-        inner = getattr(np.linalg, name)
-        monkeypatch.setattr(np.linalg, name, lambda a, inner=inner, name=name:
-                            calls.append(name) or inner(a))
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     return calls
 
 
@@ -259,6 +266,22 @@ class TestMultisetMatch:
         assert not rep.matched
         assert rep.leftover_a and rep.leftover_b
 
+
+    def test_threshold_follows_the_scale(self):
+        # 1e-9 and 2e-9 are a factor 2 apart; an absolute floor of tol would pair them
+        rep = multiset_match([1e-9], [2e-9], tol=1e-8)
+        assert not rep.matched
+        assert rep.tolerance == pytest.approx(2e-17, rel=1e-12)
+
+    @pytest.mark.parametrize("c", [2.0 ** -40, 2.0 ** -20, 2.0 ** 20],
+                             ids=["2^-40", "2^-20", "2^20"])
+    def test_scaled_spectra_match_alike(self, c):
+        # the spectra of test_maximum_matching_leaves_only_unmatchable, scaled
+        t = 1e-3
+        a = np.array([1 + 0.5 * t, 1 - 0.55 * t, 1 - 5 * t])
+        b = np.array([1 + 0.4 * t, 1 + 1.4 * t, 1 + 5 * t])
+        rep = multiset_match(c * a, c * b, tol=t)
+        assert not rep.matched and len(rep.pairs) == 2
 
     def test_augmenting_path_completes_greedy(self):
         # greedy pairs 1+0.5t with 1+0.4t first and strands 1-0.55t; the
