@@ -12,12 +12,15 @@ from math import comb
 import numpy as np
 
 from .errors import ResourceLimitError, ValidationError
-from .spectra import as_dense_matrix
+from .spectra import _check_int, as_dense_matrix
 
 # Built matrices above this many entries are refused unless force=True.
 MAX_ENTRIES = 1_000_000
 
 _CHUNK_ROWS = 512
+
+# Order-j minors are gathered about this many j x j submatrices at a time.
+_CHUNK = 4096
 
 
 class PairBasis:
@@ -28,9 +31,7 @@ class PairBasis:
     """
 
     def __init__(self, n):
-        if not isinstance(n, (int, np.integer)) or n < 1:
-            raise ValidationError(f"pair basis needs an integer dimension n >= 1, got {n!r}")
-        self.n = int(n)
+        self.n = _check_int(n, "pair basis dimension n", 1)
         self._first, self._second = np.triu_indices(self.n, 1)
         self._first.flags.writeable = False
         self._second.flags.writeable = False
@@ -45,17 +46,13 @@ class PairBasis:
 
     def index_of(self, i, j):
         """Position of the pair (i, j), i < j, in lexicographic order."""
-        if not (isinstance(i, (int, np.integer)) and isinstance(j, (int, np.integer))
-                and 0 <= i < j < self.n):
-            raise ValidationError(
-                f"({i}, {j}) is not a valid pair for dimension {self.n}; need 0 <= i < j < n"
-            )
+        i = _check_int(i, "pair index i", 0, self.n - 2)
+        j = _check_int(j, "pair index j", i + 1, self.n - 1)
         # pairs (i', j') with i' < i come first: (n - 1) + ... + (n - i)
-        return int(i * (2 * self.n - i - 1) // 2 + (j - i - 1))
+        return i * (2 * self.n - i - 1) // 2 + (j - i - 1)
 
     def pair_at(self, k):
-        if not 0 <= k < self.size:
-            raise ValidationError(f"pair index {k} out of range for size {self.size}")
+        k = _check_int(k, "pair position k", 0, self.size - 1)
         return int(self._first[k]), int(self._second[k])
 
     def arrays(self):
@@ -93,6 +90,23 @@ def _det_stack(sub):
     return np.linalg.det(sub)
 
 
+def _minor_blocks(m, j):
+    """All order-j minors of ``m``, a block of row sets at a time.
+
+    Yields ``(a, sets, dets)``: ``sets`` holds the comb(n, j) index sets in
+    lexicographic order, one per row, and dets[r, c] is the minor on row set
+    sets[a + r] and column set sets[c]. np.take copies far faster than a
+    broadcast fancy index, and gathering per block keeps memory at about
+    ``_CHUNK`` j x j submatrices.
+    """
+    sets = np.asarray(list(combinations(range(m.shape[0]), j)), dtype=int)
+    step = max(1, _CHUNK // len(sets))
+    for a in range(0, len(sets), step):
+        # (block, j, sets, j) -> (block, sets, j, j): row set, then column set
+        sub = np.take(m[sets[a : a + step]], sets, axis=2)
+        yield a, sets, _det_stack(np.moveaxis(sub, 1, 2))
+
+
 def minor(m, rows, cols):
     """Determinant of the submatrix selected by two equal-length index sets.
 
@@ -127,19 +141,12 @@ def compound_matrix(m, j, force=False):
     """
     m = as_dense_matrix(m)
     n = m.shape[0]
-    if not isinstance(j, (int, np.integer)) or not 1 <= j <= n:
-        raise ValidationError(f"compound order must satisfy 1 <= j <= n = {n}, got {j!r}")
-    j = int(j)
+    j = _check_int(j, "compound order j", 1, n)
     size = comb(n, j)
     _check_cap(size * size, force, f"compound_matrix(n={n}, j={j})")
-    sets = list(combinations(range(n), j))
     out = np.empty((size, size))
-    col_ix = np.asarray(sets, dtype=int)
-    for a in range(0, size, _CHUNK_ROWS):
-        block = sets[a : a + _CHUNK_ROWS]
-        # shape (rows in block, size, j, j): rows select, then columns
-        sub = m[np.asarray(block, dtype=int)[:, None, :, None], col_ix[None, :, None, :]]
-        out[a : a + len(block)] = _det_stack(sub)
+    for a, _, dets in _minor_blocks(m, j):
+        out[a : a + len(dets)] = dets
     return out
 
 

@@ -144,16 +144,6 @@ def _wedge_radius(m):
     return spectral_radius(eigenvalues(square)), abs(lam) if ok else None
 
 
-def _real_eigenvector(col, tol):
-    """Rotate a complex eigenvector onto the real axis; None if impossible."""
-    k = int(np.argmax(np.abs(col)))
-    phase = col[k] / abs(col[k])
-    w = col / phase
-    if float(np.abs(w.imag).max()) > np.sqrt(tol):
-        return None
-    return w.real / np.linalg.norm(w.real)
-
-
 def analyze(m, tol=DEFAULT_TOL, circle_tol=DEFAULT_CIRCLE_TOL,
             residual_tol=DEFAULT_RESIDUAL_TOL, seed=0):
     """Full second-eigenvalue analysis of a real square matrix.
@@ -178,7 +168,8 @@ def analyze(m, tol=DEFAULT_TOL, circle_tol=DEFAULT_CIRCLE_TOL,
         before the result is refused as numerically inconsistent; checked
         for every classification but degenerate_rho_zero.
     seed : int
-        Seed for the sampled order-2 hypothesis check, the last resort for
+        A nonnegative integer, checked even when unused: the seed of the
+        sampled order-2 hypothesis check, the last resort for
         matrices whose contiguous 2x2 minors do not decide it (zeros, or a
         minor in the slack band) and whose 2x2 minors exceed the exhaustive
         budget; the certificate's mode then reads "sampled".
@@ -245,17 +236,16 @@ def analyze(m, tol=DEFAULT_TOL, circle_tol=DEFAULT_CIRCLE_TOL,
     on_circle = moduli >= lambda1 * (1.0 - circle_tol)
     circle_count = int(np.count_nonzero(on_circle))
 
+    # With one eigenvalue on the circle lambda1 is real: a nonreal one would
+    # share its modulus with its conjugate. A lambda2 strictly above |lambda3|
+    # is real for the same reason. The dense solve returns real columns for
+    # real eigenvalues, so the real parts are the eigenvectors.
     signs1 = signs2 = None
     if circle_count == 1:
-        v1 = _real_eigenvector(vectors[:, 0], tol)
-        if v1 is not None:
-            signs1 = sign_changes(v1, tol)
-        lam2_real = abs(spectrum[1].imag) <= circle_tol * lambda1
-        lam2_simple = n == 2 or (moduli[1] - moduli[2]) > circle_tol * lambda1
-        if lam2_real and lam2_simple:
-            v2 = _real_eigenvector(vectors[:, 1], tol)
-            if v2 is not None:
-                signs2 = sign_changes(v2, tol)
+        e1, e2 = vectors[:, 0].real, vectors[:, 1].real
+        signs1 = sign_changes(e1 / np.linalg.norm(e1), tol)
+        if n == 2 or (moduli[1] - moduli[2]) > circle_tol * lambda1:
+            signs2 = sign_changes(e2 / np.linalg.norm(e2), tol)
 
     if circle_count > 1:
         nonreal = [

@@ -17,7 +17,7 @@ import numpy as np
 from .compound import exterior_square
 from .errors import ValidationError
 from .positivity import _sample_minors
-from .spectra import DEFAULT_TOL, _check_tol, as_dense_matrix
+from .spectra import DEFAULT_TOL, _check_int, _check_tol, as_dense_matrix
 
 BUILTIN_NAMES = ("green_string", "gaussian", "cauchy")
 
@@ -57,8 +57,7 @@ def builtin_kernel(name, param=None):
         )
     if name == "gaussian":
         width = DEFAULT_GAUSSIAN_WIDTH if param is None else float(param)
-        if not width > 0:
-            raise ValidationError(f"gaussian width must be positive, got {param!r}")
+        _check_tol(width, "gaussian width")
         return KernelSpec(kind="builtin", name=name, param=width)
     if param is not None:
         raise ValidationError(f"builtin kernel {name!r} takes no parameter")
@@ -152,14 +151,19 @@ def _eval_builtin(spec, t, s):
     return out[()]
 
 
+def _check_unit_interval(*args):
+    """Raise unless every entry of every argument lies in [0, 1]; NaN fails."""
+    if not all(np.all((a >= 0.0) & (a <= 1.0)) for a in args):
+        raise ValidationError("kernel arguments must lie in [0, 1]")
+
+
 def kernel_value(spec, t, s):
     """Pointwise evaluation of a builtin kernel on the closed unit square."""
     if spec.kind != "builtin":
         raise ValidationError("pointwise evaluation needs a builtin kernel")
     t = np.asarray(t, dtype=float)
     s = np.asarray(s, dtype=float)
-    if np.any(t < 0.0) or np.any(t > 1.0) or np.any(s < 0.0) or np.any(s > 1.0):
-        raise ValidationError("kernel arguments must lie in [0, 1]")
+    _check_unit_interval(t, s)
     return _eval_builtin(spec, t, s)
 
 
@@ -189,9 +193,7 @@ def discretize(spec, n, rule="midpoint"):
     -------
     KernelGrid
     """
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ValidationError(f"grid size must be an integer >= 2, got {n!r}")
-    n = int(n)
+    n = _check_int(n, "grid size n", 2)
     if rule not in ("midpoint", "trapezoid"):
         raise ValidationError(f'rule must be "midpoint" or "trapezoid", got {rule!r}')
 
@@ -238,8 +240,7 @@ def second_associated(spec, t1, t2, s1, s2):
     """
     args = [float(t1), float(t2), float(s1), float(s2)]
     if spec.kind == "builtin":
-        if any(a < 0.0 or a > 1.0 for a in args):
-            raise ValidationError(f"arguments must lie in [0, 1], got {args}")
+        _check_unit_interval(*args)
         a = _eval_builtin(spec, args[0], args[2])
         b = _eval_builtin(spec, args[0], args[3])
         c = _eval_builtin(spec, args[1], args[2])
@@ -271,17 +272,11 @@ def kernel_tn_check(spec, sample_nodes, order, trials, seed, tol=DEFAULT_TOL):
     finite check cannot be exhaustive.
     """
     _check_tol(tol)
-    if not isinstance(order, (int, np.integer)) or order < 1:
-        raise ValidationError(f"order must be a positive integer, got {order!r}")
-    if not isinstance(trials, (int, np.integer)) or trials < 1:
-        raise ValidationError(f"trials must be a positive integer, got {trials!r}")
-    order = int(order)
+    order = _check_int(order, "order", 1)
+    trials = _check_int(trials, "trials", 1)
+    seed = _check_int(seed, "seed", 0)
     if spec.kind == "builtin":
-        if not isinstance(sample_nodes, (int, np.integer)) or sample_nodes < order:
-            raise ValidationError(
-                f"sample_nodes must be an integer >= order = {order}, got {sample_nodes!r}"
-            )
-        grid = _implied_nodes(int(sample_nodes))
+        grid = _implied_nodes(_check_int(sample_nodes, "sample_nodes", order))
         table = _eval_builtin(spec, grid[:, None], grid[None, :])
     else:
         _, table = _tabulated_grid(spec)
@@ -289,8 +284,8 @@ def kernel_tn_check(spec, sample_nodes, order, trials, seed, tol=DEFAULT_TOL):
             raise ValidationError(
                 f"tabulated kernel has {table.shape[0]} nodes, fewer than order {order}"
             )
-    rngs = (np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), t)))
-            for t in range(int(trials)))
+    rngs = (np.random.default_rng(np.random.SeedSequence(entropy=(seed, t)))
+            for t in range(trials))
     return _sample_minors(table, order, rngs, tol)
 
 

@@ -7,20 +7,18 @@ scaled copies of the same matrix.
 """
 
 from dataclasses import dataclass
-from itertools import combinations, repeat
+from itertools import repeat
 from math import comb
 from typing import Optional
 
 import numpy as np
 
-from .compound import _det_stack
+from .compound import _det_stack, _minor_blocks
 from .errors import GenerationError, ResourceLimitError, ValidationError, ZeroVectorError
-from .spectra import DEFAULT_TOL, as_dense_matrix, _check_tol
+from .spectra import DEFAULT_TOL, _check_int, _check_tol, _negative_entry, as_dense_matrix
 
 # Exhaustive minor enumeration is refused above this many determinants.
 MINOR_BUDGET = 10_000_000
-
-_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -78,25 +76,21 @@ def _threshold(amax, j, tol):
         ) from None
 
 
-def _order_sweep(m, j, thresh, counter):
-    """Scan all order-j minors; return a witness for the worst violation
-    in the first offending chunk, or None if all pass."""
-    n = m.shape[0]
-    col_sets = list(combinations(range(n), j))
-    col_ix = np.asarray(col_sets, dtype=int)
-    step = max(1, _CHUNK // len(col_sets))
-    for a in range(0, len(col_sets), step):
-        # (chunk, j, sets, j) -> (chunk, sets, j, j): row set, then column set.
-        # np.take copies far faster than a broadcast fancy index, and
-        # gathering per chunk keeps memory at one chunk.
-        sub = np.take(m[col_ix[a : a + step]], col_ix, axis=2)
-        dets = _det_stack(np.moveaxis(sub, 1, 2))
-        counter[0] += dets.size
+def _order_sweep(m, j, thresh):
+    """Scan the order-j minors up to the first offending block.
+
+    Returns ``(witness, evaluated)``: the worst violation in that block (None
+    if every minor passes) and the number of minors computed.
+    """
+    evaluated = 0
+    for a, sets, dets in _minor_blocks(m, j):
+        evaluated += dets.size
         low = float(dets.min())
         if low < thresh:
             r, c = np.unravel_index(int(np.argmin(dets)), dets.shape)
-            return MinorWitness(rows=col_sets[a + r], cols=col_sets[c], value=low)
-    return None
+            return MinorWitness(tuple(sets[a + r].tolist()), tuple(sets[c].tolist()),
+                                low), evaluated
+    return None, evaluated
 
 
 def _sample_minors(table, order, rngs, tol):
@@ -148,7 +142,8 @@ def is_totally_nonnegative(m, k, tol=DEFAULT_TOL, budget=MINOR_BUDGET, sample=Fa
         Evaluate ``samples`` seeded random minors instead of all of them;
         the certificate is downgraded to mode="sampled".
     samples, seed : int
-        Sampling effort and generator seed (sampling mode only).
+        Sampling effort (positive) and generator seed (nonnegative), used in
+        sampling mode only; the seed is checked in both modes.
 
     Returns
     -------
@@ -157,13 +152,11 @@ def is_totally_nonnegative(m, k, tol=DEFAULT_TOL, budget=MINOR_BUDGET, sample=Fa
     m = as_dense_matrix(m)
     _check_tol(tol)
     n = m.shape[0]
-    if not isinstance(k, (int, np.integer)) or not 1 <= k <= n:
-        raise ValidationError(f"order must satisfy 1 <= k <= n = {n}, got {k!r}")
-    k = int(k)
+    k = _check_int(k, "order k", 1, n)
+    seed = _check_int(seed, "seed", 0)
     if sample:
-        if not isinstance(samples, (int, np.integer)) or samples < 1:
-            raise ValidationError(f"samples must be a positive integer, got {samples!r}")
-        return _sample_minors(m, k, repeat(np.random.default_rng(seed), int(samples)), tol)
+        samples = _check_int(samples, "samples", 1)
+        return _sample_minors(m, k, repeat(np.random.default_rng(seed), samples), tol)
 
     estimate = _estimated_minors(n, k)
     if estimate > budget:
@@ -173,12 +166,13 @@ def is_totally_nonnegative(m, k, tol=DEFAULT_TOL, budget=MINOR_BUDGET, sample=Fa
             "use a smaller k or sample=True"
         )
     amax = float(np.abs(m).max())
-    counter = [0]
+    total = 0
     for j in range(1, k + 1):
-        witness = _order_sweep(m, j, _threshold(amax, j, tol), counter)
+        witness, evaluated = _order_sweep(m, j, _threshold(amax, j, tol))
+        total += evaluated
         if witness is not None:
             break
-    return TNCertificate(k, witness is None, witness, counter[0], "exhaustive")
+    return TNCertificate(k, witness is None, witness, total, "exhaustive")
 
 
 def _contiguous_order_two(m, amax, thresh, tol):
@@ -241,18 +235,15 @@ def is_two_totally_nonnegative(m, tol=DEFAULT_TOL, budget=MINOR_BUDGET,
     """
     m = as_dense_matrix(m)
     _check_tol(tol)
+    seed = _check_int(seed, "seed", 0)
     n = m.shape[0]
     if n < 2:
         raise ValidationError("the order-2 hypothesis needs dimension n >= 2")
     amax = float(np.abs(m).max())
 
-    lo = float(m.min())
-    if lo < _threshold(amax, 1, tol):
-        i, j = np.unravel_index(int(np.argmin(m)), m.shape)
-        cert1 = TNCertificate(1, False, MinorWitness((int(i),), (int(j),), lo),
-                              n * n, "exhaustive")
-    else:
-        cert1 = TNCertificate(1, True, None, n * n, "exhaustive")
+    neg = _negative_entry(m, tol, amax)
+    witness = None if neg is None else MinorWitness((neg[0],), (neg[1],), neg[2])
+    cert1 = TNCertificate(1, neg is None, witness, n * n, "exhaustive")
 
     thresh = _threshold(amax, 2, tol)
     cert2 = _contiguous_order_two(m, amax, thresh, tol)
@@ -261,9 +252,8 @@ def is_two_totally_nonnegative(m, tol=DEFAULT_TOL, budget=MINOR_BUDGET,
     if comb(n, 2) ** 2 > budget:
         return cert1, is_totally_nonnegative(m, 2, tol, sample=True, samples=samples,
                                              seed=seed)
-    counter = [0]
-    witness = _order_sweep(m, 2, thresh, counter)
-    return cert1, TNCertificate(2, witness is None, witness, counter[0], "exhaustive")
+    witness, evaluated = _order_sweep(m, 2, thresh)
+    return cert1, TNCertificate(2, witness is None, witness, evaluated, "exhaustive")
 
 
 def sign_changes(v, tol=DEFAULT_TOL):
@@ -321,12 +311,10 @@ def random_tn(n, seed, factors=20):
     product closure of those generators; factors=1 gives a positive
     diagonal draw.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValidationError(f"dimension must be a positive integer, got {n!r}")
-    if not isinstance(factors, (int, np.integer)) or factors < 1:
-        raise ValidationError(f"factors must be a positive integer, got {factors!r}")
-    rng = np.random.default_rng(seed)
-    return _draw_tn(rng, int(n), int(factors))
+    n = _check_int(n, "dimension n", 1)
+    factors = _check_int(factors, "factors", 1)
+    rng = np.random.default_rng(_check_int(seed, "seed", 0))
+    return _draw_tn(rng, n, factors)
 
 
 def _neville_tn(m, zero):
@@ -367,11 +355,11 @@ def random_oscillatory(n, seed, max_retries=100):
     O(n^3) at every n. Failed draws retry with seeds derived from
     (seed, attempt) up to ``max_retries`` times.
     """
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ValidationError(f"oscillatory generation needs n >= 2, got {n!r}")
-    n = int(n)
+    n = _check_int(n, "oscillatory dimension n", 2)
+    seed = _check_int(seed, "seed", 0)
+    max_retries = _check_int(max_retries, "max_retries", 1)
     for attempt in range(max_retries):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), attempt)))
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, attempt)))
         base = _draw_tn(rng, n, 3 * n)
         lower = np.eye(n) + np.diag(rng.uniform(0.1, 1.0, n - 1), -1)
         upper = np.eye(n) + np.diag(rng.uniform(0.1, 1.0, n - 1), 1)

@@ -63,15 +63,24 @@ def as_dense_matrix(a):
     return m
 
 
-def require_nonnegative(m, tol):
-    """Raise unless every entry of ``m`` is >= -tol * max|m|.
+def _negative_entry(m, tol, amax):
+    """The most negative entry of ``m`` as ``(i, j, value)`` when it is below
+    -tol * amax, with amax = max|m|, else None.
 
-    The slack scales with the matrix, as in the order-1 certificate of
-    ``positivity``, so a positive multiple of ``m`` passes or fails with it.
+    The slack scales with the matrix, so a positive multiple of ``m`` passes
+    or fails with it. This is the order-1 certificate of ``positivity`` and
+    the input check of ``perron_pair``.
     """
-    lo = float(m.min())
-    if lo < -tol * float(np.abs(m).max()):
-        i, j = np.unravel_index(int(np.argmin(m)), m.shape)
+    i, j = divmod(int(np.argmin(m)), m.shape[1])
+    lo = float(m[i, j])
+    return (i, j, lo) if lo < -tol * amax else None
+
+
+def require_nonnegative(m, tol):
+    """Raise unless every entry of ``m`` is >= -tol * max|m|."""
+    neg = _negative_entry(m, tol, float(np.abs(m).max()))
+    if neg is not None:
+        i, j, lo = neg
         raise ValidationError(
             f"matrix is not entrywise nonnegative within tol={tol:g} * max|m|: "
             f"entry ({i},{j}) = {lo:g}"
@@ -81,6 +90,21 @@ def require_nonnegative(m, tol):
 def _check_tol(tol, name="tol"):
     if not (isinstance(tol, (int, float)) and 0 < tol < math.inf):
         raise ValidationError(f"{name} must be a finite positive real, got {tol!r}")
+
+
+def _check_int(value, name, lo, hi=None):
+    """Return ``value`` as an int after checking it is an integer in range.
+
+    ``value`` must be a Python or numpy integer, but not a bool (True is an
+    int to Python, never a count, size or seed to a caller), with
+    ``lo <= value``, and ``value <= hi`` unless ``hi`` is None. Anything else
+    raises ValidationError naming ``name``.
+    """
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < lo or (hi is not None and value > hi)):
+        bound = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+        raise ValidationError(f"{name} must be an integer {bound}, got {value!r}")
+    return int(value)
 
 
 def sort_spectrum(values):
@@ -266,7 +290,7 @@ def perron_pair(m, tol=DEFAULT_TOL, max_iter=None):
         ``tol * ||m||_F`` counts as zero. It also sets the tolerances of the
         dense fallback, but not the iteration's residual target.
     max_iter : int, optional
-        Iteration cap, default 100 * n.
+        Iteration cap, a positive integer; default 100 * n.
 
     Returns
     -------
@@ -280,30 +304,25 @@ def perron_pair(m, tol=DEFAULT_TOL, max_iter=None):
     """
     m = as_dense_matrix(m)
     _check_tol(tol)
+    n = m.shape[0]
+    max_iter = 100 * n if max_iter is None else _check_int(max_iter, "max_iter", 1)
     require_nonnegative(m, tol)
     a = np.where(m < 0.0, 0.0, m)
-    n = a.shape[0]
-    if max_iter is None:
-        max_iter = 100 * n
     scale = max(float(np.linalg.norm(a)), np.finfo(float).tiny)
 
-    lam, q, ok = _orthogonal_iteration(a, np.ones((n, 1)), max_iter)
-    if ok:
-        if lam <= tol * scale:
-            raise DegeneratePerronError(
-                f"spectral radius {lam:.3e} is below tol * ||m|| = {tol * scale:.3e}"
-            )
-        x = q[:, 0]
-        return lam, -x if x.sum() < 0.0 else x
-
-    # Stagnation: several eigenvalues share the leading modulus. Solve densely
-    # and pick a nonnegative representative for the Perron root.
-    w, v = eigenpairs(a, tol)
-    rho = float(np.abs(w[0]))
+    rho, q, ok = _orthogonal_iteration(a, np.ones((n, 1)), max_iter)
+    if not ok:
+        # Stagnation: several eigenvalues share the leading modulus. Solve
+        # densely, then pick a nonnegative representative for the Perron root.
+        w, v = eigenpairs(a, tol)
+        rho = float(np.abs(w[0]))
     if rho <= tol * scale:
         raise DegeneratePerronError(
             f"spectral radius {rho:.3e} is below tol * ||m|| = {tol * scale:.3e}"
         )
+    if ok:
+        x = q[:, 0]
+        return rho, -x if x.sum() < 0.0 else x
     for k in range(n):
         if abs(w[k]) < rho * (1.0 - 10.0 * tol):
             break

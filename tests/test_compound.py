@@ -128,6 +128,10 @@ class TestCompound:
         with pytest.raises(ValidationError):
             compound_matrix(np.eye(3), 0)
 
+    def test_bool_order_rejected(self):
+        with pytest.raises(ValidationError, match="compound order"):
+            compound_matrix(np.eye(3), True)
+
     def test_size_cap(self):
         with pytest.raises(ResourceLimitError):
             compound_matrix(np.eye(40), 4)
@@ -249,6 +253,14 @@ class TestPairBasis:
         for k in range(basis.size):
             i, j = basis.pair_at(k)
             assert basis.index_of(i, j) == k
+
+    @pytest.mark.parametrize("call", [lambda: PairBasis(True),
+                                      lambda: PairBasis(3).pair_at(1.5),
+                                      lambda: PairBasis(3).pair_at(True)],
+                             ids=["bool-dimension", "float-position", "bool-position"])
+    def test_non_integer_argument_rejected(self, call):
+        with pytest.raises(ValidationError):
+            call()
 
     def test_invalid_pair(self):
         basis = PairBasis(3)

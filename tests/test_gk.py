@@ -12,11 +12,13 @@ from wedgespec import (
     analyze,
     builtin_kernel,
     discretize,
+    eigenpairs,
     eigenvalues,
     exterior_square,
     random_oscillatory,
     random_tn,
     report_to_dict,
+    sign_changes,
     verification_to_dict,
     verify_theorem1,
     verify_theorem2,
@@ -118,6 +120,18 @@ class TestAnalyzeExamples:
         with pytest.raises(ValidationError):
             analyze([[5.0]])
 
+    @pytest.mark.parametrize("seed", [-1, True, 1.5])
+    @pytest.mark.parametrize("kind", ["sampled-route", "contiguous-route"])
+    def test_seed_not_a_nonnegative_integer_rejected(self, kind, seed):
+        # the seed is checked whether or not the sampled order-2 route uses it
+        if kind == "sampled-route":
+            e = np.eye(100, k=1)
+            m = 2.0 * np.eye(100) + e + e.T
+        else:
+            m = random_oscillatory(5, 1)
+        with pytest.raises(ValidationError, match="^seed must be an integer >= 0"):
+            analyze(m, seed=seed)
+
     @pytest.mark.parametrize("circle_tol", [-1.0, 0.0, 1.0, 2.0, math.nan, math.inf])
     def test_circle_tol_outside_unit_interval_rejected(self, circle_tol):
         with pytest.raises(ValidationError, match="circle_tol"):
@@ -187,6 +201,24 @@ class TestAnalyzeProperties:
         assert r.classification == CLASS_SECOND
         assert r.sign_changes_e1.strict_count == 0
         assert r.sign_changes_e2.strict_count == 1
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_sign_counts_are_those_of_the_eigenpairs_columns(self, seed):
+        # nonsymmetric draws with complex eigenvalues: e1 (and e2 when lambda2
+        # is real) are counted on the real columns of the dense solve
+        n = 5 + seed % 6
+        for m in (np.random.default_rng(seed).uniform(0.0, 1.0, (n, n)),
+                  np.random.default_rng(seed).standard_normal((n, n))):
+            r = analyze(m)
+            w, v = eigenpairs(m)
+            assert np.any(w.imag != 0.0)
+            if r.circle_count > 1:
+                assert r.sign_changes_e1 is r.sign_changes_e2 is None
+                continue
+            assert r.sign_changes_e1 == sign_changes(v[:, 0].real)
+            assert (r.sign_changes_e2 is not None) == (w[1].imag == 0.0)
+            if w[1].imag == 0.0:
+                assert r.sign_changes_e2 == sign_changes(v[:, 1].real)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_two_tn_never_complex_pair(self, seed):

@@ -53,6 +53,16 @@ class TestBuiltins:
         with pytest.raises(ValidationError):
             builtin_kernel("gaussian", -1.0)
 
+    @pytest.mark.parametrize("call", [
+        lambda: kernel_value(GREEN, math.nan, 0.5),
+        lambda: kernel_value(GREEN, 0.5, [0.2, math.nan]),
+        lambda: second_associated(GREEN, math.nan, 0.5, 0.2, 0.3),
+        lambda: builtin_kernel("gaussian", math.inf),
+    ], ids=["kernel-value", "kernel-value-array", "second-associated", "gaussian-width"])
+    def test_non_finite_argument_rejected(self, call):
+        with pytest.raises(ValidationError):
+            call()
+
     def test_param_only_for_gaussian(self):
         with pytest.raises(ValidationError):
             builtin_kernel("green_string", 2.0)
@@ -241,6 +251,11 @@ class TestKernelTNCheck:
         a = kernel_tn_check(GREEN, 32, 2, 50, seed=9)
         b = kernel_tn_check(GREEN, 32, 2, 50, seed=9)
         assert a == b
+
+    @pytest.mark.parametrize("seed", [-1, True, 1.5])
+    def test_seed_not_a_nonnegative_integer_rejected(self, seed):
+        with pytest.raises(ValidationError, match="^seed must be an integer >= 0"):
+            kernel_tn_check(GREEN, 16, 2, 10, seed=seed)
 
     def test_validation(self):
         with pytest.raises(ValidationError):

@@ -88,12 +88,35 @@ class TestIsTotallyNonnegative:
         assert cert.verdict
         assert cert.minors_evaluated == 50
 
-    @pytest.mark.parametrize("samples", [0, -3, 2.5])
+    @pytest.mark.parametrize("samples", [0, -3, 2.5, True])
     def test_empty_or_fractional_sample_refused(self, samples):
         # det -5: a certificate of no minors used to pass it
         with pytest.raises(ValidationError, match="samples"):
             is_totally_nonnegative([[1.0, 2.0], [3.0, 1.0]], 2, sample=True,
                                    samples=samples)
+
+    @pytest.mark.parametrize("j, d", [(1, -0.5), (2, 0.9), (3, 1.3), (4, 1.5)])
+    def test_witness_is_the_compound_minimum_at_the_first_offending_order(self, j, d):
+        # tridiagonal d, 1, 1 with nonnegative off-diagonals: the first order
+        # with a negative minor is the first k whose leading k x k minor is
+        # negative. At n = 6 each order is gathered in one block, so the
+        # witness is the least entry of that compound.
+        m = d * np.eye(6) + np.eye(6, k=1) + np.eye(6, k=-1)
+        cert = is_totally_nonnegative(m, 4)
+        w = cert.witness
+        assert not cert.verdict and len(w.rows) == len(w.cols) == j
+        c = compound_matrix(m, j)
+        sets = list(combinations(range(6), j))
+        assert w.value == c.min() == c[sets.index(w.rows), sets.index(w.cols)]
+        assert all(compound_matrix(m, i).min() >= 0.0 for i in range(1, j))
+
+    @pytest.mark.parametrize("seed", [-1, True, 1.5])
+    def test_seed_not_a_nonnegative_integer_rejected(self, seed):
+        # checked on the exhaustive routes too, where the seed is not used
+        with pytest.raises(ValidationError, match="^seed must be an integer >= 0"):
+            is_totally_nonnegative(np.ones((3, 3)), 2, seed=seed)
+        with pytest.raises(ValidationError, match="^seed must be an integer >= 0"):
+            is_two_totally_nonnegative(np.ones((3, 3)), seed=seed)
 
     def test_sampled_mode_finds_violations(self):
         cert = is_totally_nonnegative(THREE_CYCLE, 2, sample=True, samples=300, seed=0)
@@ -209,13 +232,13 @@ class TestOrderTwoOracle:
         # the exhaustive sweep is the oracle for the contiguous certificate
         g = discretize(builtin_kernel("green_string"), 80).discretized
         thresh = -1e-9 * float(np.abs(g).max()) ** 2
-        counter = [0]
-        assert _order_sweep(g, 2, thresh, counter) is None
-        assert counter[0] == comb(80, 2) ** 2 == 9_985_600
+        witness, evaluated = _order_sweep(g, 2, thresh)
+        assert witness is None
+        assert evaluated == comb(80, 2) ** 2 == 9_985_600
         _, cert = is_two_totally_nonnegative(g)
         assert cert == TNCertificate(2, True, None, 79 ** 2, "exhaustive")
         planted = plant(g, 40, 5e-8)
-        assert _order_sweep(planted, 2, thresh, [0]).value < thresh
+        assert _order_sweep(planted, 2, thresh)[0].value < thresh
         _, cert = is_two_totally_nonnegative(planted)
         assert not cert.verdict
         w = cert.witness
@@ -305,6 +328,11 @@ class TestRandomTN:
     def test_factors_zero_disallowed(self):
         with pytest.raises(ValidationError):
             random_tn(3, seed=0, factors=0)
+
+    @pytest.mark.parametrize("n, seed", [(3, -1), (3, True), (3, 1.5), (True, 0)])
+    def test_non_integer_dimension_or_seed_rejected(self, n, seed):
+        with pytest.raises(ValidationError):
+            random_tn(n, seed)
 
     def test_checker_oracle_n5(self):
         m = random_tn(5, seed=42, factors=30)
@@ -399,3 +427,13 @@ class TestRandomOscillatory:
     def test_dimension_validation(self):
         with pytest.raises(ValidationError):
             random_oscillatory(1, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, True, 1.5])
+    def test_seed_not_a_nonnegative_integer_rejected(self, seed):
+        with pytest.raises(ValidationError, match="^seed must be an integer >= 0"):
+            random_oscillatory(3, seed)
+
+    @pytest.mark.parametrize("max_retries", [0, 2.5])
+    def test_retry_budget_not_a_positive_integer_rejected(self, max_retries):
+        with pytest.raises(ValidationError, match="^max_retries must be an integer >= 1"):
+            random_oscillatory(3, 0, max_retries=max_retries)

@@ -201,6 +201,11 @@ class TestPerronPair:
         with pytest.raises(ValidationError):
             perron_pair([[1.0, -1.0], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("max_iter", [2.5, 0, -3, True])
+    def test_max_iter_not_a_positive_integer_rejected(self, max_iter):
+        with pytest.raises(ValidationError, match="^max_iter must be an integer >= 1"):
+            perron_pair(np.eye(2), max_iter=max_iter)
+
     @pytest.mark.parametrize("k", [0, 20, -30])
     def test_negative_slack_scales_with_the_matrix(self, k):
         # -1e-12 is inside the nonnegativity slack tol * max|m| at every scale
