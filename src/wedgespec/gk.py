@@ -9,14 +9,14 @@ report distinguishes a complex conjugate pair from a multiple leading
 eigenvalue. Hypothesis failure never aborts the analysis; the spectral
 facts are unconditional and the certificates record what was violated.
 
-rho(wedge) comes from two-column orthogonal iteration on the matrix at every
-size; the exterior square is built and solved only when that stagnates.
-Whatever the classification, it must equal lambda1 |lambda2| from the dense
-spectrum within ``residual_tol``. The dense solve is ``spectra.eigenpairs``,
-which takes the symmetric solver on exactly symmetric input (every kernel
-grid) and the general one otherwise. lambda1 comes from that solve, and the
-same iteration checks it: a converged pair spans the dominant invariant
-subspace, whose 2x2 Ritz matrix carries lambda1.
+rho(wedge) = |theta_1 theta_2| comes from the two leading Ritz values theta
+of a subspace iteration on the matrix at every size, for a real and a
+complex lambda2 alike; the exterior square is built and solved only when
+that stagnates. Whatever the classification, it must equal lambda1 |lambda2|
+from the dense spectrum within ``residual_tol``. The dense solve is
+``spectra.eigenpairs``, which takes the symmetric solver on exactly
+symmetric input (every kernel grid) and the general one otherwise. lambda1
+comes from that solve, and the same iteration checks it with |theta_1|.
 """
 
 from dataclasses import dataclass
@@ -30,7 +30,7 @@ from .positivity import SignChangeCount, is_two_totally_nonnegative, sign_change
 from .spectra import (
     DEFAULT_TOL,
     _check_tol,
-    _orthogonal_iteration,
+    _ritz_iteration,
     as_dense_matrix,
     eigenpairs,
     eigenvalues,
@@ -101,47 +101,39 @@ def _wedge_radius(m):
     """Spectral radius of the exterior square of ``m``, and lambda1 read
     from the same iteration (None when it cannot be read).
 
-    Two-column orthogonal iteration on ``m`` (power iteration on the wedge
-    action) from the columns u and u * S, where u_i = 1 + frac(i * phi) lies
-    in [1, 2) (phi the golden-ratio conjugate) and S is the running sum of
-    u. Their wedge has every pair coordinate u_i u_j (S_j - S_i), i < j,
-    positive, so it meets the positive top wedge eigenvector of an
-    oscillatory matrix; and as neither column is constant or polynomial in
-    i, neither constant row sums nor a polynomial invariant subspace of
-    ``m`` holds the start span invariant. The iteration converges when
-    |lambda2| > |lambda3|, and stops once ``||m q - q b||_F`` is at most
-    ``1e-13 * ||m||_F`` (``spectra._orthogonal_iteration``): a backward error
-    for ``m`` itself, so the radius stays accurate on non-normal input such
-    as a diagonal similarity D m D^-1. The iteration runs on ``m`` scaled by
-    the power of two that puts max|m| in [0.5, 1), so the radius of 2^k m is
-    exactly 4^k times that of m, and a step makes no LAPACK call: the pair
-    is orthonormalized by CholeskyQR2 on its 2x2 Gram matrix, with
-    Householder QR only for a numerically dependent pair (see
-    ``spectra._orthogonal_iteration``). A converged q spans the dominant
-    invariant subspace, so its Ritz matrix q^T m q has spectral radius
-    lambda1 (Golub and Van Loan, sec. 7.3). When it has not converged after
-    100 n steps, as for a second eigenvalue in a complex pair, the exterior
-    square is solved densely under the cap of ``compound.exterior_square``;
-    above the cap ConvergenceError is raised. Both QR routes keep R upper
-    triangular, so the stalled pair's first column is the power iterate of
-    u, and one more step reads lambda1 from it if it has converged.
+    Subspace iteration with a Rayleigh-Ritz step on ``m``
+    (``spectra._ritz_iteration``) over p = max(2, min(6, n - 1)) columns
+    u s^c, c = 0..p-1, where u_i = 1 + frac(i * phi) lies in [1, 2) (phi the
+    golden-ratio conjugate) and s = cumsum(u) / sum(u) increases. This
+    positive Vandermonde matrix scaled by rows has every p x p minor
+    positive, and no column is constant or polynomial in i, so neither
+    constant row sums nor a polynomial invariant subspace of ``m`` holds the
+    start span invariant. The two leading Ritz values converge to lambda1
+    and lambda2, real or complex, at the rate |lambda_{p+1} / lambda_2|;
+    rho(wedge) = |theta_1 theta_2| and lambda1 = |theta_1|. They are exact
+    for a backward perturbation of ``m`` of 1e-13 ||m||_F, and the radius of
+    2^k m is exactly 4^k times that of m. When the iteration has not
+    converged after 100 n steps, as when more than p moduli tie at
+    |lambda2|, the exterior square is solved densely under the cap of
+    ``compound.exterior_square``, with no lambda1 reading; above the cap
+    ConvergenceError is raised.
     """
     n = m.shape[0]
     u = 1.0 + np.mod(np.arange(n) * _GOLDEN, 1.0)
-    start = np.column_stack([u, u * np.cumsum(u)])
-    lam, q, ok = _orthogonal_iteration(m, start, 100 * n)
+    s = np.cumsum(u) / u.sum()
+    start = u[:, None] * s[:, None] ** np.arange(max(2, min(6, n - 1)))
+    moduli, _, ok = _ritz_iteration(m, start, 100 * n)
     if ok:
-        return abs(lam), spectral_radius(eigenvalues(q.T @ m @ q))
+        return float(moduli[0] * moduli[1]), float(moduli[0])
     try:
         square = compound.exterior_square(m)
     except ResourceLimitError:
         raise ConvergenceError(
-            "orthogonal iteration for the wedge radius stagnated, and the "
+            "subspace iteration for the wedge radius stagnated, and the "
             f"exterior square of this {n}x{n} matrix is too large to solve "
             "densely; its wedge spectrum has no dominant eigenvalue"
         ) from None
-    lam, _, ok = _orthogonal_iteration(m, q[:, :1], 1)
-    return spectral_radius(eigenvalues(square)), abs(lam) if ok else None
+    return spectral_radius(eigenvalues(square)), None
 
 
 def analyze(m, tol=DEFAULT_TOL, circle_tol=DEFAULT_CIRCLE_TOL,
@@ -199,7 +191,7 @@ def analyze(m, tol=DEFAULT_TOL, circle_tol=DEFAULT_CIRCLE_TOL,
     rho_wedge, lam_w = _wedge_radius(m)
     if not degenerate and lam_w is not None and abs(lam_w - lambda1) > 1e-6 * lambda1:
         raise ConvergenceError(
-            f"orthogonal iteration ({lam_w:.12g}) and the dense solve "
+            f"subspace iteration ({lam_w:.12g}) and the dense solve "
             f"({lambda1:.12g}) disagree on the spectral radius"
         )
     residual = abs(rho_wedge - lambda1 * float(moduli[1])) / max(1.0, rho_wedge)

@@ -49,6 +49,15 @@ class KernelGrid:
     discretized: np.ndarray
 
 
+def _as_reals(x, what):
+    """``x`` as a new float64 array; input numpy cannot convert raises
+    ValidationError naming ``what``."""
+    try:
+        return np.array(x, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what} must be real numbers: {exc}") from None
+
+
 def builtin_kernel(name, param=None):
     """KernelSpec for a named builtin; ``param`` is the gaussian width."""
     if name not in BUILTIN_NAMES:
@@ -56,7 +65,9 @@ def builtin_kernel(name, param=None):
             f"unknown builtin kernel {name!r}; known names: {', '.join(BUILTIN_NAMES)}"
         )
     if name == "gaussian":
-        width = DEFAULT_GAUSSIAN_WIDTH if param is None else float(param)
+        width = DEFAULT_GAUSSIAN_WIDTH
+        if param is not None:
+            width = _as_reals(param, "gaussian width").tolist()
         _check_tol(width, "gaussian width")
         return KernelSpec(kind="builtin", name=name, param=width)
     if param is not None:
@@ -74,10 +85,7 @@ def tabulated_kernel(values, nodes=None):
     v = as_dense_matrix(values).copy()
     t = None
     if nodes is not None:
-        try:
-            t = np.array(nodes, dtype=float).ravel()
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"kernel nodes must be real numbers: {exc}") from None
+        t = _as_reals(nodes, "kernel nodes").ravel()
         if t.size != v.shape[0]:
             raise ValidationError(
                 f"got {t.size} nodes for a {v.shape[0]}x{v.shape[0]} table"
@@ -161,8 +169,8 @@ def kernel_value(spec, t, s):
     """Pointwise evaluation of a builtin kernel on the closed unit square."""
     if spec.kind != "builtin":
         raise ValidationError("pointwise evaluation needs a builtin kernel")
-    t = np.asarray(t, dtype=float)
-    s = np.asarray(s, dtype=float)
+    t = _as_reals(t, "kernel arguments")
+    s = _as_reals(s, "kernel arguments")
     _check_unit_interval(t, s)
     return _eval_builtin(spec, t, s)
 
@@ -238,7 +246,10 @@ def second_associated(spec, t1, t2, s1, s2):
     their stored nodes only (arguments are matched to nodes within 1e-12).
     Antisymmetric under swapping t1 with t2 and under swapping s1 with s2.
     """
-    args = [float(t1), float(t2), float(s1), float(s2)]
+    args = _as_reals((t1, t2, s1, s2), "kernel arguments")
+    if args.shape != (4,):
+        raise ValidationError("second_associated takes four real arguments")
+    args = args.tolist()
     if spec.kind == "builtin":
         _check_unit_interval(*args)
         a = _eval_builtin(spec, args[0], args[2])

@@ -235,6 +235,7 @@ def is_two_totally_nonnegative(m, tol=DEFAULT_TOL, budget=MINOR_BUDGET,
     """
     m = as_dense_matrix(m)
     _check_tol(tol)
+    samples = _check_int(samples, "samples", 1)
     seed = _check_int(seed, "seed", 0)
     n = m.shape[0]
     if n < 2:

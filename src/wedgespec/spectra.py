@@ -20,7 +20,7 @@ from .errors import ConvergenceError, DegeneratePerronError, ValidationError
 
 DEFAULT_TOL = 1e-9
 
-# Residual target of _orthogonal_iteration, relative to ||a||_F: a few
+# Residual target of _ritz_iteration, relative to ||a||_F: a few
 # hundred ulps, just above the rounding floor of one step.
 _ITERATION_TARGET = 1e-13
 
@@ -209,71 +209,62 @@ def spectral_radius(s):
     return float(np.abs(v).max())
 
 
-def _orthogonal_iteration(a, start, max_iter):
-    """Orthogonal iteration on the span of the k in {1, 2} columns of ``start``.
+def _ritz_iteration(a, start, max_iter):
+    """Subspace iteration with a Rayleigh-Ritz step on the span of the k
+    columns of ``start`` (Stewart, Numer. Math. 25, 1976; Rutishauser's
+    ritzit, Numer. Math. 16, 1970).
 
-    Returns ``(estimate, q, converged)`` with ``q`` orthonormal, b = q^T a q
-    and ``estimate`` = b[0, 0] for k = 1 or det b for k = 2. By Cauchy-Binet,
-    (a q1) ^ (a q2) is the wedge action on q1 ^ q2, so for k = 2 this is power
-    iteration on the exterior square at O(n^2) per step, and det b is its
-    Rayleigh quotient. It stops when ``||a q - q b||_F <= _ITERATION_TARGET *
-    ||a||_F``. That residual E is a backward error for ``a`` itself: q spans
-    an exact invariant subspace of a - E q^T, and the estimate is that
-    matrix's (Golub and Van Loan, Matrix Computations, sec. 7.3). converged is
-    False when the span is still rotating after ``max_iter`` steps.
+    Returns ``(moduli, q, converged)``: ``moduli`` holds |theta_1| >= ... of
+    the leading min(2, k) Ritz values theta, read on the orthonormal basis
+    ``q``. A step takes z = a q and b = q^T z, the Ritz pairs (theta, y) of
+    b from ``np.linalg.eig`` ordered by modulus, and then q = qr(z). For
+    k = 1 this is power iteration; for k >= 2 the two leading Ritz values
+    converge to lambda1 and lambda2 at the rate |lambda_{k+1} / lambda_2|,
+    whether lambda2 is real or one of a complex pair. It stops when both
+    (i) the leading min(2, k) Ritz pairs, with the conjugate of a nonreal
+    second one, have ``||z y - q y theta||_F <= _ITERATION_TARGET * ||a||_F``.
+    With x = q y and r = a x - theta x, each pair is then an exact eigenpair
+    of a - r x^H, so this is a backward error for ``a`` itself (Golub and
+    Van Loan, Matrix Computations, sec. 7.3); and
+    (ii) the reading, |theta_1| for k = 1 and |theta_1 theta_2| otherwise,
+    moved by at most the same target since the previous step. A Jordan
+    block of size s can meet (i) with Ritz values only about target^(1/s)
+    accurate; (ii) waits for them to settle.
+    converged is False when either still fails after ``max_iter`` steps.
 
     The loop runs on a * 2^-e, with e the exponent that puts max|a| in
-    [0.5, 1), and scales the estimate back by 2^(k e). Both are exact, so
-    2^j a gives the same q and 2^(k j) times the estimate, and no norm can
-    overflow. A step makes no LAPACK call (``_orthonormalize``):
-    k = 1 normalizes, and k = 2 takes two passes of Cholesky QR on the 2x2
-    Gram matrix, orthonormal to rounding level for independent columns
-    (CholeskyQR2: Fukaya, Nakatsukasa, Yanagisawa and Yamamoto, ScalA 2014;
-    Yamamoto et al., ETNA 44, 2015). A zero iterate, a zero column, or a
-    second column whose part orthogonal to the first is at most 1e-6 of its
-    length falls back to Householder QR.
+    [0.5, 1), and scales the moduli back by 2^e. Both are exact, so 2^j a
+    gives the same q and 2^j times the moduli, and no norm can overflow.
     """
-    k = start.shape[1]
-    e = math.frexp(float(np.abs(a).max()))[1]  # 0 for a zero a, converged at once
+    lead = min(2, start.shape[1])
+    e = math.frexp(float(np.abs(a).max()))[1]  # 0 for a zero a
     a = np.ldexp(a, -e)
-    target = (_ITERATION_TARGET * float(np.linalg.norm(a))) ** 2
+    target = _ITERATION_TARGET * float(np.linalg.norm(a))
     q = np.linalg.qr(start)[0]
-    estimate = 0.0
+    reading = math.inf
     for _ in range(max_iter):
         z = a @ q
         # np.dot, not @, for the k-column products: on arrays this small it
         # has the lower call overhead
-        b = np.dot(q.T, z)
-        bl = b.tolist()
-        estimate = bl[0][0] if k == 1 else bl[0][0] * bl[1][1] - bl[0][1] * bl[1][0]
-        r = z - np.dot(q, b)
-        if float(np.vdot(r, r)) <= target:
-            return float(np.ldexp(estimate, k * e)), q, True
-        q = _orthonormalize(z)
-    return float(np.ldexp(estimate, k * e)), q, False
-
-
-def _orthonormalize(z):
-    """Orthonormal basis of the span of the k <= 2 columns of ``z``: the
-    closed-form step of ``_orthogonal_iteration``, with its fallback."""
-    if z.shape[1] == 1:
-        zz = float(np.vdot(z, z))
-        return z / math.sqrt(zz) if zz > 0.0 else np.linalg.qr(z)[0]
-    for _ in range(2):
-        (g00, g01), (_, g11) = np.dot(z.T, z).tolist()
-        if not (g00 > 0.0 and g11 - g01 * g01 / g00 > 1e-12 * g11):
-            return np.linalg.qr(z)[0]
-        r00 = math.sqrt(g00)
-        r01 = g01 / r00
-        r11 = math.sqrt(g11 - r01 * r01)
-        z = np.dot(z, ((1.0 / r00, -r01 / (r00 * r11)), (0.0, 1.0 / r11)))
-    return z
+        w, y = np.linalg.eig(np.dot(q.T, z))
+        order = np.argsort(-np.abs(w), kind="stable")[:lead + 1]
+        w, y = w[order], y[:, order]
+        moduli = np.abs(w[:lead])
+        previous, reading = reading, float(moduli.prod())
+        if abs(reading - previous) <= target:
+            # LAPACK puts a conjugate pair together, positive imaginary part first
+            j = lead + (lead < w.size and w[1].imag > 0.0)
+            r = np.dot(z, y[:, :j]) - np.dot(q, y[:, :j] * w[:j])
+            if np.linalg.norm(r) <= target:
+                return np.ldexp(moduli, e), q, True
+        q = np.linalg.qr(z)[0]
+    return np.ldexp(moduli, e), q, False
 
 
 def perron_pair(m, tol=DEFAULT_TOL, max_iter=None):
     """Perron root and a nonnegative unit eigenvector of a nonnegative matrix.
 
-    Power iteration (one-column orthogonal iteration) from the all-ones
+    Power iteration (``_ritz_iteration`` on one column) from the all-ones
     vector, which converges geometrically for primitive matrices, to the
     fixed residual target ``_ITERATION_TARGET * ||m||_F``. If it stagnates
     (imprimitive or reducible input) the full dense solve is used as a
@@ -310,7 +301,8 @@ def perron_pair(m, tol=DEFAULT_TOL, max_iter=None):
     a = np.where(m < 0.0, 0.0, m)
     scale = max(float(np.linalg.norm(a)), np.finfo(float).tiny)
 
-    rho, q, ok = _orthogonal_iteration(a, np.ones((n, 1)), max_iter)
+    moduli, q, ok = _ritz_iteration(a, np.ones((n, 1)), max_iter)
+    rho = float(moduli[0])
     if not ok:
         # Stagnation: several eigenvalues share the leading modulus. Solve
         # densely, then pick a nonnegative representative for the Perron root.

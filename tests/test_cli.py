@@ -397,9 +397,10 @@ def _csv(rows):
     # rows 0, 1 and columns 1, 2 give the minor 1 * 1 - 5 * 2
     (["tn-check", "--order", "2"], _csv([[2.0, 1.0, 5.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]]), 1),
     (["analyze"], "1.0,2.0\n3.0\n", 2),
-    # a complex lambda2 stalls the wedge pair, and the exterior square of a
-    # 50 x 50 matrix is over the cap
-    (["analyze"], _csv(np.random.default_rng(1).uniform(0.5, 1.0, (50, 50))), 3),
+    # the cyclic permutation puts all 50 eigenvalues on the unit circle, which
+    # stalls the wedge iteration, and the exterior square of a 50 x 50 matrix
+    # is over the cap
+    (["analyze"], _csv(np.roll(np.eye(50), 1, axis=0)), 3),
 ], ids=["oscillatory-0", "planted-violation-1", "ragged-2", "stalled-wedge-3"])
 def test_module_process_exit_code(tmp_path, command, text, code):
     path = tmp_path / "m.csv"

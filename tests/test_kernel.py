@@ -58,7 +58,12 @@ class TestBuiltins:
         lambda: kernel_value(GREEN, 0.5, [0.2, math.nan]),
         lambda: second_associated(GREEN, math.nan, 0.5, 0.2, 0.3),
         lambda: builtin_kernel("gaussian", math.inf),
-    ], ids=["kernel-value", "kernel-value-array", "second-associated", "gaussian-width"])
+        # strings numpy cannot read as reals
+        lambda: builtin_kernel("gaussian", "abc"),
+        lambda: second_associated(GREEN, "x", 0.5, 0.2, 0.3),
+        lambda: kernel_value(GREEN, "x", 0.5),
+    ], ids=["kernel-value", "kernel-value-array", "second-associated", "gaussian-width",
+            "gaussian-width-string", "second-associated-string", "kernel-value-string"])
     def test_non_finite_argument_rejected(self, call):
         with pytest.raises(ValidationError):
             call()

@@ -95,6 +95,13 @@ class TestIsTotallyNonnegative:
             is_totally_nonnegative([[1.0, 2.0], [3.0, 1.0]], 2, sample=True,
                                    samples=samples)
 
+    @pytest.mark.parametrize("samples", [0, 2.5])
+    def test_two_tn_checks_samples_on_every_route(self, samples):
+        # the all-ones matrix is decided by its contiguous minors and never
+        # samples; the argument is checked anyway, as the seed is
+        with pytest.raises(ValidationError, match="^samples must be an integer >= 1"):
+            is_two_totally_nonnegative(np.ones((3, 3)), samples=samples)
+
     @pytest.mark.parametrize("j, d", [(1, -0.5), (2, 0.9), (3, 1.3), (4, 1.5)])
     def test_witness_is_the_compound_minimum_at_the_first_offending_order(self, j, d):
         # tridiagonal d, 1, 1 with nonnegative off-diagonals: the first order
