@@ -13,10 +13,13 @@ rho(wedge) = |theta_1 theta_2| comes from the two leading Ritz values theta
 of a subspace iteration on the matrix at every size, for a real and a
 complex lambda2 alike; the exterior square is built and solved only when
 that stagnates. Whatever the classification, it must equal lambda1 |lambda2|
-from the dense spectrum within ``residual_tol``. The dense solve is
-``spectra.eigenpairs``, which takes the symmetric solver on exactly
-symmetric input (every kernel grid) and the general one otherwise. lambda1
-comes from that solve, and the same iteration checks it with |theta_1|.
+from the dense spectrum within ``residual_tol``. The dense spectrum comes
+from one n x n solve: ``spectra.eigenvalues`` when the iteration converged,
+its two leading Ritz vectors then standing for e1 and e2 in the sign
+counts, and ``spectra.eigenpairs``, whose columns stand for them, on a
+stall. Both take the symmetric solver on exactly symmetric input (every
+kernel grid) and the general one otherwise. lambda1 comes from that solve,
+and the same iteration checks it with |theta_1|.
 """
 
 from dataclasses import dataclass
@@ -98,8 +101,10 @@ class VerificationReport:
 
 
 def _wedge_radius(m):
-    """Spectral radius of the exterior square of ``m``, and lambda1 read
-    from the same iteration (None when it cannot be read).
+    """Spectral radius of the exterior square of ``m``, lambda1 read from the
+    same iteration, and the real parts of its two leading Ritz vectors as
+    the columns of an n x 2 array; both of the last two are None when they
+    cannot be read.
 
     Subspace iteration with a Rayleigh-Ritz step on ``m``
     (``spectra._ritz_iteration``) over p = max(2, min(6, n - 1)) columns
@@ -110,21 +115,21 @@ def _wedge_radius(m):
     constant row sums nor a polynomial invariant subspace of ``m`` holds the
     start span invariant. The two leading Ritz values converge to lambda1
     and lambda2, real or complex, at the rate |lambda_{p+1} / lambda_2|;
-    rho(wedge) = |theta_1 theta_2| and lambda1 = |theta_1|. They are exact
-    for a backward perturbation of ``m`` of 1e-13 ||m||_F, and the radius of
-    2^k m is exactly 4^k times that of m. When the iteration has not
-    converged after 100 n steps, as when more than p moduli tie at
-    |lambda2|, the exterior square is solved densely under the cap of
-    ``compound.exterior_square``, with no lambda1 reading; above the cap
-    ConvergenceError is raised.
+    rho(wedge) = |theta_1 theta_2| and lambda1 = |theta_1|. They and the two
+    Ritz vectors are exact for a backward perturbation of ``m`` of
+    1e-13 ||m||_F, and the radius of 2^k m is exactly 4^k times that of m.
+    When the iteration has not converged after 100 n steps, as when more
+    than p moduli tie at |lambda2|, the exterior square is solved densely
+    under the cap of ``compound.exterior_square``, with no lambda1 reading
+    and no vectors; above the cap ConvergenceError is raised.
     """
     n = m.shape[0]
     u = 1.0 + np.mod(np.arange(n) * _GOLDEN, 1.0)
     s = np.cumsum(u) / u.sum()
     start = u[:, None] * s[:, None] ** np.arange(max(2, min(6, n - 1)))
-    moduli, _, ok = _ritz_iteration(m, start, 100 * n)
+    moduli, x, ok = _ritz_iteration(m, start, 100 * n)
     if ok:
-        return float(moduli[0] * moduli[1]), float(moduli[0])
+        return float(moduli[0] * moduli[1]), float(moduli[0]), x.real
     try:
         square = compound.exterior_square(m)
     except ResourceLimitError:
@@ -133,7 +138,7 @@ def _wedge_radius(m):
             f"exterior square of this {n}x{n} matrix is too large to solve "
             "densely; its wedge spectrum has no dominant eigenvalue"
         ) from None
-    return spectral_radius(eigenvalues(square)), None
+    return spectral_radius(eigenvalues(square)), None, None
 
 
 def analyze(m, tol=DEFAULT_TOL, circle_tol=DEFAULT_CIRCLE_TOL,
@@ -141,7 +146,12 @@ def analyze(m, tol=DEFAULT_TOL, circle_tol=DEFAULT_CIRCLE_TOL,
     """Full second-eigenvalue analysis of a real square matrix.
 
     lambda1 comes from the dense solve and must agree within 1e-6 lambda1
-    with the wedge iteration's reading of it (see ``_wedge_radius``).
+    with the wedge iteration's reading of it (see ``_wedge_radius``). When
+    the iteration converged, that solve computes eigenvalues only, and the
+    sign changes of e1 and e2 are counted on the iteration's two leading
+    Ritz vectors, which carry its backward error of 1e-13 ||m||_F; no dense
+    eigenpair residual is checked. When it stalled, the solve is
+    ``eigenpairs`` and they are counted on its columns.
 
     Parameters
     ----------
@@ -183,12 +193,15 @@ def analyze(m, tol=DEFAULT_TOL, circle_tol=DEFAULT_CIRCLE_TOL,
     cert1, cert2 = is_two_totally_nonnegative(m, tol, seed=seed)
     hypotheses_ok = cert1.verdict and cert2.verdict
 
-    spectrum, vectors = eigenpairs(m, tol)
+    rho_wedge, lam_w, vectors = _wedge_radius(m)
+    if vectors is None:
+        spectrum, vectors = eigenpairs(m, tol)
+    else:
+        spectrum = eigenvalues(m, tol)
     moduli = np.abs(spectrum)
     lambda1 = float(moduli[0])
     degenerate = lambda1 <= tol * amax
 
-    rho_wedge, lam_w = _wedge_radius(m)
     if not degenerate and lam_w is not None and abs(lam_w - lambda1) > 1e-6 * lambda1:
         raise ConvergenceError(
             f"subspace iteration ({lam_w:.12g}) and the dense solve "
@@ -230,14 +243,14 @@ def analyze(m, tol=DEFAULT_TOL, circle_tol=DEFAULT_CIRCLE_TOL,
 
     # With one eigenvalue on the circle lambda1 is real: a nonreal one would
     # share its modulus with its conjugate. A lambda2 strictly above |lambda3|
-    # is real for the same reason. The dense solve returns real columns for
-    # real eigenvalues, so the real parts are the eigenvectors.
+    # is real for the same reason. Ritz vectors and the dense solve's columns
+    # alike are real for real eigenvalues, so the real parts are e1 and e2;
+    # the counts are relative to max|entry|, so no normalization is needed.
     signs1 = signs2 = None
     if circle_count == 1:
-        e1, e2 = vectors[:, 0].real, vectors[:, 1].real
-        signs1 = sign_changes(e1 / np.linalg.norm(e1), tol)
+        signs1 = sign_changes(vectors[:, 0].real, tol)
         if n == 2 or (moduli[1] - moduli[2]) > circle_tol * lambda1:
-            signs2 = sign_changes(e2 / np.linalg.norm(e2), tol)
+            signs2 = sign_changes(vectors[:, 1].real, tol)
 
     if circle_count > 1:
         nonreal = [

@@ -214,16 +214,19 @@ def _ritz_iteration(a, start, max_iter):
     columns of ``start`` (Stewart, Numer. Math. 25, 1976; Rutishauser's
     ritzit, Numer. Math. 16, 1970).
 
-    Returns ``(moduli, q, converged)``: ``moduli`` holds |theta_1| >= ... of
-    the leading min(2, k) Ritz values theta, read on the orthonormal basis
-    ``q``. A step takes z = a q and b = q^T z, the Ritz pairs (theta, y) of
+    Returns ``(moduli, vectors, converged)``: ``moduli`` holds
+    |theta_1| >= ... of the leading min(2, k) Ritz values theta, and
+    ``vectors`` the matching Ritz vectors x = q y as columns, in the same
+    order, or None when the iteration did not converge. A real theta has a
+    real x, as with LAPACK's dgeev; for k = 1, y = [[1.0]] and x is q
+    itself. A step takes z = a q and b = q^T z, the Ritz pairs (theta, y) of
     b from ``np.linalg.eig`` ordered by modulus, and then q = qr(z). For
     k = 1 this is power iteration; for k >= 2 the two leading Ritz values
     converge to lambda1 and lambda2 at the rate |lambda_{k+1} / lambda_2|,
     whether lambda2 is real or one of a complex pair. It stops when both
     (i) the leading min(2, k) Ritz pairs, with the conjugate of a nonreal
     second one, have ``||z y - q y theta||_F <= _ITERATION_TARGET * ||a||_F``.
-    With x = q y and r = a x - theta x, each pair is then an exact eigenpair
+    With r = a x - theta x, each pair is then an exact eigenpair
     of a - r x^H, so this is a backward error for ``a`` itself (Golub and
     Van Loan, Matrix Computations, sec. 7.3); and
     (ii) the reading, |theta_1| for k = 1 and |theta_1 theta_2| otherwise,
@@ -256,9 +259,9 @@ def _ritz_iteration(a, start, max_iter):
             j = lead + (lead < w.size and w[1].imag > 0.0)
             r = np.dot(z, y[:, :j]) - np.dot(q, y[:, :j] * w[:j])
             if np.linalg.norm(r) <= target:
-                return np.ldexp(moduli, e), q, True
+                return np.ldexp(moduli, e), np.dot(q, y[:, :lead]), True
         q = np.linalg.qr(z)[0]
-    return np.ldexp(moduli, e), q, False
+    return np.ldexp(moduli, e), None, False
 
 
 def perron_pair(m, tol=DEFAULT_TOL, max_iter=None):
@@ -301,7 +304,7 @@ def perron_pair(m, tol=DEFAULT_TOL, max_iter=None):
     a = np.where(m < 0.0, 0.0, m)
     scale = max(float(np.linalg.norm(a)), np.finfo(float).tiny)
 
-    moduli, q, ok = _ritz_iteration(a, np.ones((n, 1)), max_iter)
+    moduli, x, ok = _ritz_iteration(a, np.ones((n, 1)), max_iter)
     rho = float(moduli[0])
     if not ok:
         # Stagnation: several eigenvalues share the leading modulus. Solve
@@ -313,7 +316,7 @@ def perron_pair(m, tol=DEFAULT_TOL, max_iter=None):
             f"spectral radius {rho:.3e} is below tol * ||m|| = {tol * scale:.3e}"
         )
     if ok:
-        x = q[:, 0]
+        x = x[:, 0]
         return rho, -x if x.sum() < 0.0 else x
     for k in range(n):
         if abs(w[k]) < rho * (1.0 - 10.0 * tol):

@@ -205,20 +205,24 @@ class TestAnalyzeProperties:
     @pytest.mark.parametrize("seed", range(12))
     def test_sign_counts_are_those_of_the_eigenpairs_columns(self, seed):
         # nonsymmetric draws with complex eigenvalues: e1 (and e2 when lambda2
-        # is real) are counted on the real columns of the dense solve
+        # is real) count as the real columns of the dense solve do
         n = 5 + seed % 6
         for m in (np.random.default_rng(seed).uniform(0.0, 1.0, (n, n)),
                   np.random.default_rng(seed).standard_normal((n, n))):
-            r = analyze(m)
-            w, v = eigenpairs(m)
-            assert np.any(w.imag != 0.0)
-            if r.circle_count > 1:
-                assert r.sign_changes_e1 is r.sign_changes_e2 is None
-                continue
-            assert r.sign_changes_e1 == sign_changes(v[:, 0].real)
-            assert (r.sign_changes_e2 is not None) == (w[1].imag == 0.0)
-            if w[1].imag == 0.0:
-                assert r.sign_changes_e2 == sign_changes(v[:, 1].real)
+            assert np.any(_assert_counts_of_eigenpairs_columns(m).imag != 0.0)
+
+    @pytest.mark.parametrize("n", [45, 96, 101, 200])
+    @pytest.mark.parametrize("name", ["green_string", "gaussian", "cauchy"])
+    def test_sign_counts_on_kernel_grids_are_those_of_the_eigenpairs_columns(
+            self, name, n):
+        # at odd n the middle entry of e2 is zero up to rounding, so
+        # zero_count compares the Ritz vector and the dense column there
+        m = discretize(builtin_kernel(name), n).discretized
+        assert _assert_counts_of_eigenpairs_columns(m)[1].imag == 0.0
+
+    def test_sign_counts_on_a_stall_are_those_of_the_eigenpairs_columns(self):
+        w = _assert_counts_of_eigenpairs_columns(_one_and_four_rotations())
+        assert w[1].imag != 0.0
 
     @pytest.mark.parametrize("seed", range(6))
     def test_two_tn_never_complex_pair(self, seed):
@@ -282,6 +286,35 @@ class TestAnalyzeProperties:
             analyze(2.0 ** 600 * random_oscillatory(6, seed=3))
 
 
+def _assert_counts_of_eigenpairs_columns(m):
+    """Assert that analyze counts the sign changes of e1, and of e2 when
+    lambda2 is real, as ``sign_changes`` counts them on the real columns of
+    an independent ``eigenpairs`` call, zero_count included; return the
+    dense spectrum."""
+    r = analyze(m)
+    w, v = eigenpairs(m)
+    if r.circle_count > 1:
+        assert r.sign_changes_e1 is r.sign_changes_e2 is None
+        return w
+    assert r.sign_changes_e1 == sign_changes(v[:, 0].real)
+    assert (r.sign_changes_e2 is not None) == (w[1].imag == 0.0)
+    if w[1].imag == 0.0:
+        assert r.sign_changes_e2 == sign_changes(v[:, 1].real)
+    return w
+
+
+def _one_and_four_rotations():
+    """2 (+) four plane rotations: lambda1 = 2 ahead of eight nonreal values
+    on the unit circle, more moduli tied at |lambda2| than the wedge
+    iteration has columns."""
+    m = np.zeros((9, 9))
+    m[0, 0] = 2.0
+    for j, t in enumerate([0.5, 1.0, 2.0, 2.5]):
+        m[2 * j + 1:2 * j + 3, 2 * j + 1:2 * j + 3] = [[np.cos(t), -np.sin(t)],
+                                                       [np.sin(t), np.cos(t)]]
+    return m
+
+
 TINY_NEGATIVE = np.array([[2.0, 1.0, -1e-12], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
 
 
@@ -323,8 +356,8 @@ def _perturb_ritz_radius(monkeypatch, factor):
     inner = gkmod._ritz_iteration
 
     def perturbed(a, start, max_iter):
-        moduli, q, ok = inner(a, start, max_iter)
-        return moduli * np.array([factor, 1.0 / factor]), q, ok
+        moduli, vectors, ok = inner(a, start, max_iter)
+        return moduli * np.array([factor, 1.0 / factor]), vectors, ok
 
     monkeypatch.setattr(gkmod, "_ritz_iteration", perturbed)
 
@@ -335,13 +368,21 @@ class TestPerronCheck:
     def test_bipartite_stall_checks_nothing_and_solves_once(self, iterations, monkeypatch):
         # +-rho share the spectral circle, so power iteration would stall;
         # the Ritz step resolves both, so the one iteration converges and the
-        # dense solve is not repeated. The matrix is symmetric, so its one
-        # n x n solve is eigh.
+        # dense solve is not repeated. The matrix is symmetric and the
+        # iteration converged, so its one n x n solve is eigvalsh.
         solves = _count_solvers(monkeypatch, n=40)
         r = analyze(_bipartite(20))
         assert r.classification == CLASS_MULTIPLE and r.circle_count == 2
         assert [ok for _, ok in iterations] == [True]
-        assert solves == ["eigh"]
+        assert solves == ["eigvalsh"]
+
+    def test_general_input_solves_once_without_vectors(self, iterations, monkeypatch):
+        m = random_oscillatory(8, seed=2)
+        solves = _count_solvers(monkeypatch, n=8)
+        r = analyze(m)
+        assert r.classification == CLASS_SECOND
+        assert [ok for _, ok in iterations] == [True]
+        assert solves == ["eigvals"]
 
     def test_bipartite_400_checks_lambda1_without_blind_steps(self, iterations, monkeypatch):
         m = _bipartite(200)
@@ -352,19 +393,18 @@ class TestPerronCheck:
         with pytest.raises(ConvergenceError, match="disagree on the spectral radius"):
             analyze(m)
 
-    def test_complex_second_eigenvalue_uses_dense_wedge_fallback(self, iterations):
-        # lambda1 = 2 ahead of four plane rotations, eight nonreal values on
-        # the unit circle: more moduli tie at |lambda2| than the iteration
-        # has columns, so it stalls for its 100 n steps, the 36 x 36 exterior
-        # square gives the radius, and lambda1 goes unchecked
-        m = np.zeros((9, 9))
-        m[0, 0] = 2.0
-        for j, t in enumerate([0.5, 1.0, 2.0, 2.5]):
-            m[2 * j + 1:2 * j + 3, 2 * j + 1:2 * j + 3] = [[np.cos(t), -np.sin(t)],
-                                                           [np.sin(t), np.cos(t)]]
+    def test_complex_second_eigenvalue_uses_dense_wedge_fallback(
+            self, iterations, monkeypatch):
+        # the iteration stalls for its 100 n steps, the 36 x 36 exterior
+        # square gives the radius, lambda1 goes unchecked, and the one 9 x 9
+        # solve is eig, whose columns give e1
+        m = _one_and_four_rotations()
+        solves = _count_solvers(monkeypatch, n=9)
         r = analyze(m)
         assert abs(r.spectrum[1].imag) > 1e-8
         assert iterations == [[900, False]]
+        assert solves == ["eig"]
+        assert r.sign_changes_e1 is not None
         assert r.rho_wedge == pytest.approx(2.0, rel=1e-12)
         assert r.rho_wedge == pytest.approx(_dense_wedge_radius(m), rel=1e-12)
 
@@ -400,20 +440,25 @@ class TestPerronCheck:
 
     def test_unconverged_perron_iteration_checks_nothing(self, monkeypatch):
         # an iteration that reports no convergence gives no lambda1 reading,
-        # however far off its moduli are, and the radius comes from the dense
-        # exterior square
+        # however far off its moduli are, and no vectors; the radius comes
+        # from the dense exterior square (3 x 3 here, solved by eigvalsh),
+        # and e1 and e2 from the one n x n solve, eigh
         import wedgespec.gk as gkmod
 
         inner = gkmod._ritz_iteration
         expected = analyze(TRIDIAG)
 
         def stalled(a, start, max_iter):
-            moduli, q, _ = inner(a, start, max_iter)
-            return 2.0 * moduli, q, False
+            moduli, _, _ = inner(a, start, max_iter)
+            return 2.0 * moduli, None, False
 
         monkeypatch.setattr(gkmod, "_ritz_iteration", stalled)
+        solves = _count_solvers(monkeypatch, n=3)
         r = analyze(TRIDIAG)
+        assert solves == ["eigvalsh", "eigh"]
         assert r.classification == expected.classification == CLASS_SECOND
+        assert r.sign_changes_e1 == expected.sign_changes_e1
+        assert r.sign_changes_e2 == expected.sign_changes_e2
         assert r.lambda2 == pytest.approx(expected.lambda2, rel=1e-12)
         assert r.rho_wedge == pytest.approx(_dense_wedge_radius(TRIDIAG), rel=1e-12)
 
@@ -501,8 +546,8 @@ class TestWedgeRadius:
         inner = gkmod._wedge_radius
 
         def wrong(a):
-            radius, lambda1 = inner(a)
-            return 1.5 * radius, lambda1
+            radius, lambda1, vectors = inner(a)
+            return 1.5 * radius, lambda1, vectors
 
         monkeypatch.setattr(gkmod, "_wedge_radius", wrong)
         with pytest.raises(ConvergenceError, match="two routes"):
@@ -559,9 +604,9 @@ class TestDiagonalSimilarity:
         discretize(builtin_kernel("gaussian"), 60).discretized,
     ], ids=["similar-3-56", "gaussian-60"])
     def test_converged_span_is_invariant_to_target(self, m, monkeypatch):
-        # converged means the leading min(2, k) Ritz pairs (theta, y) of
-        # b = q^T a q have ||a q y - q y theta||_F <= 1e-13 ||a||_F, for the
-        # Perron column and the wedge columns alike
+        # converged means the leading min(2, k) Ritz pairs (theta, x) have
+        # ||a x - x theta||_F <= 1e-13 ||a||_F, for the Perron column and the
+        # wedge columns alike
         import wedgespec.gk as gkmod
         from wedgespec import perron_pair
 
@@ -570,15 +615,13 @@ class TestDiagonalSimilarity:
         gkmod._wedge_radius(m)
         assert [ok for _, _, (_, _, ok) in seen] == [True, True]
         assert [k for _, k, _ in seen] == [1, max(2, min(6, m.shape[0] - 1))]
-        for a, k, (_, q, _) in seen:
-            w, y = np.linalg.eig(q.T @ a @ q)
-            lead = np.argsort(-np.abs(w), kind="stable")[:min(2, k)]
-            residual = np.linalg.norm(a @ q @ y[:, lead] - q @ y[:, lead] * w[lead])
-            assert residual <= 1e-13 * np.linalg.norm(a)
+        for a, k, (_, x, _) in seen:
+            assert x.shape == (m.shape[0], min(2, k))
+            assert _ritz_residual(a, x) <= 1e-13
 
 
 def _record_iterations(monkeypatch):
-    """Record (a, k, (moduli, q, converged)) of every Ritz iteration."""
+    """Record (a, k, (moduli, vectors, converged)) of every Ritz iteration."""
     import wedgespec.gk as gkmod
     import wedgespec.spectra as spectramod
 
@@ -611,8 +654,13 @@ def qr_calls(monkeypatch):
     return shapes
 
 
-def _orthonormality_error(q):
-    return float(np.abs(q.T @ q - np.eye(q.shape[1])).max())
+def _ritz_residual(a, x):
+    """||a x - x theta||_F / ||a||_F for the columns of ``x``, with theta the
+    Rayleigh quotients x^H a x / x^H x. For a Ritz vector x = q y of an
+    orthonormal q that quotient is the Ritz value itself."""
+    ax = a @ x
+    theta = np.sum(x.conj() * ax, axis=0) / np.sum(x.conj() * x, axis=0)
+    return float(np.linalg.norm(ax - x * theta) / np.linalg.norm(a))
 
 
 class TestOrthonormalization:
@@ -622,12 +670,11 @@ class TestOrthonormalization:
         random_oscillatory(10, seed=3),
         _similar(3, 56)[1],
     ], ids=["gaussian-60", "green-50", "oscillatory-10-3", "similar-3-56"])
-    def test_converged_q_is_orthonormal(self, m, monkeypatch):
+    def test_converged_ritz_pairs_meet_the_target(self, m, monkeypatch):
         seen = _record_iterations(monkeypatch)
         analyze(m)
-        assert [ok for _, _, (_, _, ok) in seen] == [True]
-        for _, _, (_, q, _) in seen:
-            assert _orthonormality_error(q) <= 1e-14
+        [(a, _, (_, x, ok))] = seen
+        assert ok and _ritz_residual(a, x) <= 1e-13
 
     @pytest.mark.parametrize("m", [
         discretize(builtin_kernel("green_string"), 50).discretized,
@@ -653,8 +700,8 @@ class TestOrthonormalization:
         radius = gkmod._wedge_radius(m)[0]
         assert len(qr_calls) >= 2
         assert radius <= 4 * np.finfo(float).eps * np.linalg.norm(m) ** 2
-        [(_, _, (_, q, ok))] = seen
-        assert ok and _orthonormality_error(q) <= 1e-14
+        [(a, _, (_, x, ok))] = seen
+        assert ok and _ritz_residual(a, x) <= 1e-13
 
     def test_tiny_second_eigenvalue_keeps_its_radius(self, monkeypatch):
         # lambda2 is 1e-9 of lambda1, and lambda3 half of lambda2
@@ -664,8 +711,8 @@ class TestOrthonormalization:
         m = basis @ np.diag([1.0, 1e-9, 5e-10, 1e-10]) @ basis.T
         seen = _record_iterations(monkeypatch)
         assert gkmod._wedge_radius(m)[0] == pytest.approx(1e-9, rel=1e-7)
-        [(_, _, (_, q, ok))] = seen
-        assert ok and _orthonormality_error(q) <= 1e-14
+        [(a, _, (_, x, ok))] = seen
+        assert ok and _ritz_residual(a, x) <= 1e-13
 
 
 class TestVerifyTheorem1:

@@ -1,7 +1,7 @@
 """Property tests: analyze is invariant under transpose, reversal, scaling
 and positive diagonal similarity, its symmetric and general solver routes
-agree, and multiset_match pairs as many values as any matching within its
-threshold.
+agree, its sign counts are those of the dense eigenvectors, and
+multiset_match pairs as many values as any matching within its threshold.
 
 Draws are oscillatory matrices with n from 3 to 8; some have one exact zero
 replaced by a negative entry inside the tolerance (-c * tol * max|m|, c < 1),
@@ -17,7 +17,14 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from wedgespec import analyze, multiset_match, random_oscillatory, random_tn
+from wedgespec import (
+    analyze,
+    eigenpairs,
+    multiset_match,
+    random_oscillatory,
+    random_tn,
+    sign_changes,
+)
 from wedgespec.spectra import DEFAULT_TOL
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -112,6 +119,17 @@ def test_symmetric_and_general_routes_agree(m):
     assert (s.lambda2 is None) == (r.lambda2 is None)
     if r.lambda2 is not None:
         assert s.lambda2 == pytest.approx(r.lambda2, rel=1e-10)
+
+
+@given(st.one_of(oscillatory(), symmetric_tn()))
+def test_sign_counts_are_those_of_the_dense_eigenvectors(m):
+    # analyze counts on the wedge iteration's Ritz vectors; an independent
+    # eigenpairs call gives the columns to count on
+    r = analyze(m)
+    _, v = eigenpairs(m)
+    for counted, k in ((r.sign_changes_e1, 0), (r.sign_changes_e2, 1)):
+        if counted is not None:
+            assert counted.strict_count == sign_changes(v[:, k].real).strict_count
 
 
 @given(oscillatory())
