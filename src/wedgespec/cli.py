@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import compound as compound_mod
-from . import gk, kernel, positivity
+from . import gk, kernel, positivity, spectra
 from .errors import (
     ConvergenceError,
     DegeneratePerronError,
@@ -47,7 +47,9 @@ def _emit(payload, out):
 
 
 def _json_doc(doc):
-    return json.dumps(doc, indent=2) + "\n"
+    """``doc`` as indented JSON; reports, certificates, complex numbers and
+    arrays inside it are encoded by ``gk._to_json``."""
+    return json.dumps(gk._to_json(doc), indent=2) + "\n"
 
 
 def _fmt_complex(z):
@@ -108,7 +110,7 @@ def cmd_compound(args):
     m = _load_matrix(args.input)
     c = compound_mod.compound_matrix(m, args.order, force=args.force)
     if args.format == "json":
-        _emit(_json_doc({"data": [[float(x) for x in row] for row in c]}), args.out)
+        _emit(_json_doc({"data": c}), args.out)
     else:
         _emit(_matrix_to_csv(c), args.out)
     return EXIT_OK
@@ -121,7 +123,7 @@ def cmd_tn_check(args):
         samples=args.samples, seed=args.seed,
     )
     if args.format == "json":
-        _emit(_json_doc(gk._certificate_to_dict(cert)), args.out)
+        _emit(_json_doc(cert), args.out)
     else:
         _emit("\n".join(_certificate_lines("tn_check", cert)) + "\n", args.out)
     return EXIT_OK if cert.verdict else EXIT_VERDICT
@@ -135,7 +137,7 @@ def cmd_kernel(args):
     grid = kernel.discretize(spec, args.grid, rule=args.rule)
     cert = kernel.kernel_tn_check(
         spec,
-        sample_nodes=args.grid if spec.kind == "builtin" else grid.nodes.size,
+        sample_nodes=args.grid,
         order=args.order,
         trials=args.trials,
         seed=args.seed,
@@ -143,10 +145,7 @@ def cmd_kernel(args):
     )
     report = gk.analyze(grid.discretized, tol=args.tol, seed=args.seed)
     if args.format == "json":
-        doc = {
-            "kernel_certificate": gk._certificate_to_dict(cert),
-            "analysis": gk.report_to_dict(report),
-        }
+        doc = {"kernel_certificate": cert, "analysis": gk.report_to_dict(report)}
         _emit(_json_doc(doc), args.out)
     else:
         text = (
@@ -202,11 +201,8 @@ def cmd_verify(args):
         }
         if failures:
             t, m, rep = failures[0]
-            doc["counterexample"] = {
-                "trial": t,
-                "matrix": [[float(x) for x in row] for row in m],
-                "report": gk.verification_to_dict(rep),
-            }
+            doc["counterexample"] = {"trial": t, "matrix": m,
+                                     "report": gk.verification_to_dict(rep)}
         _emit(_json_doc(doc), args.out)
     else:
         lines = [
@@ -242,7 +238,7 @@ def _seed(text):
 
 
 def _add_common(p, seed=True):
-    p.add_argument("--tol", type=float, default=1e-9, help="relative tolerance")
+    p.add_argument("--tol", type=float, default=spectra.DEFAULT_TOL, help="relative tolerance")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
     if seed:

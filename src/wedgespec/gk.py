@@ -22,7 +22,7 @@ kernel grid) and the general one otherwise. lambda1 comes from that solve,
 and the same iteration checks it with |theta_1|.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Optional
 
 import numpy as np
@@ -197,7 +197,7 @@ def analyze(m, tol=DEFAULT_TOL, circle_tol=DEFAULT_CIRCLE_TOL,
     if vectors is None:
         spectrum, vectors = eigenpairs(m, tol)
     else:
-        spectrum = eigenvalues(m, tol)
+        spectrum = eigenvalues(m)
     moduli = np.abs(spectrum)
     lambda1 = float(moduli[0])
     degenerate = lambda1 <= tol * amax
@@ -319,68 +319,36 @@ def verify_theorem2(m, tol=DEFAULT_RESIDUAL_TOL, force=False):
     return _verify_identity(m, tol, force, 2)
 
 
-def _complex_to_dict(z):
-    return {"re": float(z.real), "im": float(z.imag)}
-
-
-def _certificate_to_dict(cert):
-    witness = None
-    if cert.witness is not None:
-        witness = {
-            "rows": [int(i) for i in cert.witness.rows],
-            "cols": [int(i) for i in cert.witness.cols],
-            "value": float(cert.witness.value),
-        }
-    return {
-        "order_checked": cert.order_checked,
-        "verdict": cert.verdict,
-        "witness": witness,
-        "minors_evaluated": cert.minors_evaluated,
-        "mode": cert.mode,
-    }
-
-
-def _signs_to_dict(s):
-    if s is None:
-        return None
-    return {
-        "strict_count": s.strict_count,
-        "vector_length": s.vector_length,
-        "zero_count": s.zero_count,
-    }
+def _to_json(obj):
+    """``obj`` as JSON-ready data: a dataclass as a dict of its fields in
+    declaration order, a dict as a dict, a tuple, list or ndarray as a list,
+    a complex number as {"re", "im"}, and a numpy scalar as the matching
+    Python scalar; anything else is returned as it is."""
+    if is_dataclass(obj):
+        return {f.name: _to_json(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, dict):
+        return {k: _to_json(v) for k, v in obj.items()}
+    if isinstance(obj, np.ndarray):
+        # tolist already gives Python scalars for a real array
+        return obj.tolist() if obj.dtype.kind in "biuf" else _to_json(obj.tolist())
+    if isinstance(obj, (tuple, list)):
+        return [_to_json(v) for v in obj]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, complex):
+        return {"re": obj.real, "im": obj.imag}
+    return obj
 
 
 def report_to_dict(report):
-    """GKReport as a JSON-ready dict with a stable field layout."""
-    pair = None
-    if report.complex_pair is not None:
-        pair = [_complex_to_dict(z) for z in report.complex_pair]
-    return {
-        "lambda1": report.lambda1,
-        "lambda2": report.lambda2,
-        "complex_pair": pair,
-        "classification": report.classification,
-        "rho_wedge": report.rho_wedge,
-        "residual_theorem3": report.residual_theorem3,
-        "sign_changes_e1": _signs_to_dict(report.sign_changes_e1),
-        "sign_changes_e2": _signs_to_dict(report.sign_changes_e2),
-        "hypothesis_certificates": [
-            _certificate_to_dict(c) for c in report.hypothesis_certificates
-        ],
-        "spectrum": [_complex_to_dict(z) for z in report.spectrum],
-        "circle_count": report.circle_count,
-        "circle_tol": report.circle_tol,
-        "tolerance": report.tolerance,
-    }
+    """GKReport as a JSON-ready dict whose keys follow the dataclass field
+    order, nested certificates, witnesses and sign counts included; complex
+    numbers are {"re", "im"} dicts (see ``_to_json``)."""
+    return _to_json(report)
 
 
 def verification_to_dict(report):
-    """VerificationReport as a JSON-ready dict."""
-    return {
-        "theorem": report.theorem,
-        "matched": report.matched,
-        "max_residual": report.max_residual,
-        "leftovers": [
-            [_complex_to_dict(z) for z in side] for side in report.leftovers
-        ],
-    }
+    """VerificationReport as a JSON-ready dict whose keys follow the
+    dataclass field order; ``leftovers`` is a list of two lists of
+    {"re", "im"} dicts (see ``_to_json``)."""
+    return _to_json(report)

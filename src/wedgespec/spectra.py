@@ -112,7 +112,11 @@ def sort_spectrum(values):
 
     The argument is taken in (-pi, pi] after normalizing signed zeros, so
     conjugate pairs of negative reals do not straddle the branch cut. The
-    resulting order is total for any fixed value multiset.
+    resulting order is total for any fixed value multiset. Ties that exist
+    only up to rounding follow the solver's rounding: the moduli of the
+    +-rho of a bipartite matrix can differ in their last ulps, so ``eigh``
+    and ``eigvalsh`` can list the pair in opposite orders. Grouping moduli
+    by a tolerance would instead reorder noise tails of values near zero.
     """
     v = np.asarray(values, dtype=complex).ravel()
     return v[_spectrum_order(v)]
@@ -166,7 +170,8 @@ def eigenvalues(m, tol=DEFAULT_TOL):
     m : array_like
         Real square matrix.
     tol : float
-        Relative tolerance recorded for downstream residual checks.
+        Validated as in ``eigenpairs`` and otherwise unused: no residual is
+        checked without eigenvectors.
 
     Returns
     -------

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from wedgespec import compound_matrix, random_oscillatory, random_tn
-from wedgespec.cli import main
+from wedgespec.cli import _trial_matrix, build_parser, main
+from wedgespec.spectra import DEFAULT_TOL
 
 
 def run(capsys, *argv):
@@ -319,6 +320,21 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["all_matched"] is True
 
+    def test_counterexample_document(self, capsys):
+        # no pair of floats matches within 1e-300 of the largest modulus
+        code, out, _ = run(capsys, "verify", "--theorem", "2", "--n", "8",
+                           "--trials", "3", "--seed", "2", "--tol", "1e-300",
+                           "--format", "json")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["all_matched"] is False
+        example = doc["counterexample"]
+        expected = _trial_matrix(8, 2, example["trial"])
+        assert np.array_equal(np.array(example["matrix"]), expected)
+        assert list(example["report"]) == ["theorem", "matched", "max_residual",
+                                           "leftovers"]
+        assert example["report"]["matched"] is False
+
     def test_trials_zero_exit_2(self, capsys):
         code, _, err = run(capsys, "verify", "--theorem", "2", "--n", "4",
                            "--trials", "0", "--seed", "1")
@@ -349,6 +365,14 @@ def test_negative_seed_exit_2(capsys, diag_csv, argv):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "--seed: seed must be a nonnegative integer" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "m.csv"),
+    ("compound", "m.csv", "--order", "2"),
+])
+def test_tol_defaults_to_the_library_default(argv):
+    assert build_parser().parse_args(argv).tol == DEFAULT_TOL
 
 
 class TestDeterminism:

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from wedgespec.gk import (
     CLASS_SECOND,
     CLASS_VIOLATED,
     DEFAULT_RESIDUAL_TOL,
+    _to_json,
 )
 
 from .test_spectra import _count_solvers
@@ -797,18 +799,53 @@ def test_symmetric_squares_take_eigvalsh(verify, seed, monkeypatch):
     assert calls == ["eigvalsh", "eigvalsh"]
 
 
+def _assert_field_order(obj, doc):
+    """Every dataclass inside ``obj`` is a dict in ``doc`` whose keys are its
+    fields in declaration order."""
+    if is_dataclass(obj):
+        assert list(doc) == [f.name for f in fields(obj)]
+        for f in fields(obj):
+            _assert_field_order(getattr(obj, f.name), doc[f.name])
+    elif isinstance(obj, tuple):
+        assert len(doc) == len(obj)
+        for item, sub in zip(obj, doc):
+            _assert_field_order(item, sub)
+
+
 class TestSerialization:
     def test_report_schema(self):
         doc = report_to_dict(analyze(np.diag([3.0, 2.0, 1.0])))
-        assert set(doc) == {
+        assert list(doc) == [
             "lambda1", "lambda2", "complex_pair", "classification", "rho_wedge",
             "residual_theorem3", "sign_changes_e1", "sign_changes_e2",
             "hypothesis_certificates", "spectrum", "circle_count", "circle_tol",
             "tolerance",
-        }
+        ]
         assert doc["spectrum"][0] == {"re": 3.0, "im": 0.0}
         text = json.dumps(doc)
         assert json.loads(text) == doc
+
+    def test_keys_follow_dataclass_field_order(self):
+        # negative off-diagonal entries: an order-1 witness, and three distinct
+        # moduli, so both sign counts are present
+        rep = analyze(np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]]))
+        doc = json.loads(json.dumps(report_to_dict(rep)))
+        assert rep.hypothesis_certificates[0].witness is not None
+        assert rep.sign_changes_e2 is not None
+        _assert_field_order(rep, doc)
+        cert = doc["hypothesis_certificates"][0]
+        assert list(cert) == ["order_checked", "verdict", "witness",
+                              "minors_evaluated", "mode"]
+        assert list(cert["witness"]) == ["rows", "cols", "value"]
+        assert list(doc["sign_changes_e1"]) == ["strict_count", "vector_length",
+                                                "zero_count"]
+
+    def test_numpy_values_become_python_scalars(self):
+        doc = _to_json({"i": np.int64(3), "x": np.float64(0.1), "b": np.bool_(True),
+                        "z": np.array([1 + 2j]), "m": np.eye(2)})
+        assert doc == {"i": 3, "x": 0.1, "b": True, "z": [{"re": 1.0, "im": 2.0}],
+                       "m": [[1.0, 0.0], [0.0, 1.0]]}
+        assert [type(doc[k]) for k in "ixb"] == [int, float, bool]
 
     def test_complex_pair_encoding(self):
         doc = report_to_dict(analyze(THREE_CYCLE))
@@ -818,7 +855,7 @@ class TestSerialization:
 
     def test_verification_schema(self):
         doc = verification_to_dict(verify_theorem2(np.diag([1.0, 2.0, 3.0])))
-        assert set(doc) == {"theorem", "matched", "max_residual", "leftovers"}
+        assert list(doc) == ["theorem", "matched", "max_residual", "leftovers"]
         assert doc["leftovers"] == [[], []]
 
     def test_deterministic_repeat(self):
