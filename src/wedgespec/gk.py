@@ -11,15 +11,14 @@ facts are unconditional and the certificates record what was violated.
 
 rho(wedge) = |theta_1 theta_2| comes from the two leading Ritz values theta
 of a subspace iteration on the matrix at every size, for a real and a
-complex lambda2 alike; the exterior square is built and solved only when
-that stagnates. Whatever the classification, it must equal lambda1 |lambda2|
-from the dense spectrum within ``residual_tol``. The dense spectrum comes
-from one n x n solve: ``spectra.eigenvalues`` when the iteration converged,
-its two leading Ritz vectors then standing for e1 and e2 in the sign
-counts, and ``spectra.eigenpairs``, whose columns stand for them, on a
-stall. Both take the symmetric solver on exactly symmetric input (every
-kernel grid) and the general one otherwise. lambda1 comes from that solve,
-and the same iteration checks it with |theta_1|.
+complex lambda2 alike; no exterior square is built. Whatever the
+classification, it must equal lambda1 |lambda2| from the dense spectrum
+within ``residual_tol``. That spectrum comes first, from one n x n
+``spectra.eigenvalues`` solve (the symmetric solver on exactly symmetric
+input, every kernel grid, and the general one otherwise), and its moduli
+set the iteration's column count. lambda1 comes from that solve, the same
+iteration checks it with |theta_1|, and its two leading Ritz vectors stand
+for e1 and e2 in the sign counts.
 """
 
 from dataclasses import dataclass, fields, is_dataclass
@@ -28,14 +27,14 @@ from typing import Optional
 import numpy as np
 
 from . import compound
-from .errors import ConvergenceError, ResourceLimitError, ValidationError
+from .errors import ConvergenceError, ValidationError
 from .positivity import SignChangeCount, is_two_totally_nonnegative, sign_changes
 from .spectra import (
+    _ITERATION_TARGET,
     DEFAULT_TOL,
     _check_tol,
     _ritz_iteration,
     as_dense_matrix,
-    eigenpairs,
     eigenvalues,
     multiset_match,
     spectral_radius,
@@ -100,58 +99,58 @@ class VerificationReport:
     leftovers: tuple  # (square-spectrum side, product side)
 
 
-def _wedge_radius(m):
+def _wedge_radius(m, moduli):
     """Spectral radius of the exterior square of ``m``, lambda1 read from the
     same iteration, and the real parts of its two leading Ritz vectors as
-    the columns of an n x 2 array; both of the last two are None when they
-    cannot be read.
+    the columns of an n x 2 array; ``moduli`` are |lambda_1| >= ... of the
+    dense spectrum of ``m``.
 
     Subspace iteration with a Rayleigh-Ritz step on ``m``
-    (``spectra._ritz_iteration``) over p = max(2, min(6, n - 1)) columns
-    u s^c, c = 0..p-1, where u_i = 1 + frac(i * phi) lies in [1, 2) (phi the
-    golden-ratio conjugate) and s = cumsum(u) / sum(u) increases. This
-    positive Vandermonde matrix scaled by rows has every p x p minor
-    positive, and no column is constant or polynomial in i, so neither
-    constant row sums nor a polynomial invariant subspace of ``m`` holds the
-    start span invariant. The two leading Ritz values converge to lambda1
-    and lambda2, real or complex, at the rate |lambda_{p+1} / lambda_2|;
-    rho(wedge) = |theta_1 theta_2| and lambda1 = |theta_1|. They and the two
-    Ritz vectors are exact for a backward perturbation of ``m`` of
-    1e-13 ||m||_F, and the radius of 2^k m is exactly 4^k times that of m.
-    When the iteration has not converged after 100 n steps, as when more
-    than p moduli tie at |lambda2|, the exterior square is solved densely
-    under the cap of ``compound.exterior_square``, with no lambda1 reading
-    and no vectors; above the cap ConvergenceError is raised.
+    (``spectra._ritz_iteration``) over p columns u s^c, c = 0..p-1, where
+    u_i = 1 + frac(i * phi) lies in [1, 2) (phi the golden-ratio conjugate)
+    and s = cumsum(u) / sum(u) increases. This positive Vandermonde matrix
+    scaled by rows has every p x p minor positive, and no column is
+    constant or polynomial in i, so neither constant row sums nor a
+    polynomial invariant subspace of ``m`` holds the start span invariant.
+    The two leading Ritz values converge to lambda1 and lambda2, real or
+    complex, at the rate |lambda_{p+1} / lambda_2| (Stewart, Numer. Math.
+    25, 1976); rho(wedge) = |theta_1 theta_2| and lambda1 = |theta_1|. They
+    and the two Ritz vectors are exact for a backward perturbation of ``m``
+    of t ||m||_F, t = ``_ITERATION_TARGET``, and the radius of 2^k m is
+    exactly 4^k times that of m.
+
+    p starts at max(2, min(6, n - 1)) and takes in every modulus above
+    max(|lambda_2| t^(2 / (100 n)), t lambda_1), so that the rate the dense
+    spectrum predicts reaches t within half of the 100 n step budget. On a
+    cyclic permutation, whose n moduli all tie, p = n: the whole space,
+    which is invariant at once. ConvergenceError is raised when the budget
+    runs out all the same, as on a Jordan block, whose Ritz values do not
+    settle.
     """
     n = m.shape[0]
+    threshold = max(moduli[1] * _ITERATION_TARGET ** (2.0 / (100 * n)),
+                    _ITERATION_TARGET * moduli[0])
+    p = min(n, max(2, min(6, n - 1), int(np.count_nonzero(moduli > threshold))))
     u = 1.0 + np.mod(np.arange(n) * _GOLDEN, 1.0)
     s = np.cumsum(u) / u.sum()
-    start = u[:, None] * s[:, None] ** np.arange(max(2, min(6, n - 1)))
-    moduli, x, ok = _ritz_iteration(m, start, 100 * n)
-    if ok:
-        return float(moduli[0] * moduli[1]), float(moduli[0]), x.real
-    try:
-        square = compound.exterior_square(m)
-    except ResourceLimitError:
-        raise ConvergenceError(
-            "subspace iteration for the wedge radius stagnated, and the "
-            f"exterior square of this {n}x{n} matrix is too large to solve "
-            "densely; its wedge spectrum has no dominant eigenvalue"
-        ) from None
-    return spectral_radius(eigenvalues(square)), None, None
+    ritz, x, ok = _ritz_iteration(m, u[:, None] * s[:, None] ** np.arange(p), 100 * n)
+    if not ok:
+        raise ConvergenceError(f"subspace iteration for the wedge radius did not "
+                               f"converge in {100 * n} steps on {p} columns")
+    return float(ritz[0] * ritz[1]), float(ritz[0]), x.real
 
 
 def analyze(m, tol=DEFAULT_TOL, circle_tol=DEFAULT_CIRCLE_TOL,
             residual_tol=DEFAULT_RESIDUAL_TOL, seed=0):
     """Full second-eigenvalue analysis of a real square matrix.
 
-    lambda1 comes from the dense solve and must agree within 1e-6 lambda1
-    with the wedge iteration's reading of it (see ``_wedge_radius``). When
-    the iteration converged, that solve computes eigenvalues only, and the
+    The one dense solve, ``eigenvalues``, comes first; its moduli size the
+    wedge iteration (see ``_wedge_radius``), which raises ConvergenceError
+    when its step budget runs out. lambda1 comes from the dense solve and
+    must agree within 1e-6 lambda1 with the iteration's reading of it. The
     sign changes of e1 and e2 are counted on the iteration's two leading
     Ritz vectors, which carry its backward error of 1e-13 ||m||_F; no dense
-    eigenpair residual is checked. When it stalled, the solve is
-    ``eigenpairs`` and they are counted on its columns.
+    eigenvector is computed.
 
     Parameters
     ----------
@@ -193,16 +192,13 @@ def analyze(m, tol=DEFAULT_TOL, circle_tol=DEFAULT_CIRCLE_TOL,
     cert1, cert2 = is_two_totally_nonnegative(m, tol, seed=seed)
     hypotheses_ok = cert1.verdict and cert2.verdict
 
-    rho_wedge, lam_w, vectors = _wedge_radius(m)
-    if vectors is None:
-        spectrum, vectors = eigenpairs(m, tol)
-    else:
-        spectrum = eigenvalues(m)
+    spectrum = eigenvalues(m)
     moduli = np.abs(spectrum)
+    rho_wedge, lam_w, vectors = _wedge_radius(m, moduli)
     lambda1 = float(moduli[0])
     degenerate = lambda1 <= tol * amax
 
-    if not degenerate and lam_w is not None and abs(lam_w - lambda1) > 1e-6 * lambda1:
+    if not degenerate and abs(lam_w - lambda1) > 1e-6 * lambda1:
         raise ConvergenceError(
             f"subspace iteration ({lam_w:.12g}) and the dense solve "
             f"({lambda1:.12g}) disagree on the spectral radius"
@@ -243,14 +239,14 @@ def analyze(m, tol=DEFAULT_TOL, circle_tol=DEFAULT_CIRCLE_TOL,
 
     # With one eigenvalue on the circle lambda1 is real: a nonreal one would
     # share its modulus with its conjugate. A lambda2 strictly above |lambda3|
-    # is real for the same reason. Ritz vectors and the dense solve's columns
-    # alike are real for real eigenvalues, so the real parts are e1 and e2;
-    # the counts are relative to max|entry|, so no normalization is needed.
+    # is real for the same reason. A Ritz vector is real for a real Ritz
+    # value, so the two columns are e1 and e2; the counts are relative to
+    # max|entry|, so no normalization is needed.
     signs1 = signs2 = None
     if circle_count == 1:
-        signs1 = sign_changes(vectors[:, 0].real, tol)
+        signs1 = sign_changes(vectors[:, 0], tol)
         if n == 2 or (moduli[1] - moduli[2]) > circle_tol * lambda1:
-            signs2 = sign_changes(vectors[:, 1].real, tol)
+            signs2 = sign_changes(vectors[:, 1], tol)
 
     if circle_count > 1:
         nonreal = [

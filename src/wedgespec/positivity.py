@@ -15,7 +15,8 @@ import numpy as np
 
 from .compound import _det_stack, _minor_blocks
 from .errors import GenerationError, ResourceLimitError, ValidationError, ZeroVectorError
-from .spectra import DEFAULT_TOL, _check_int, _check_tol, _negative_entry, as_dense_matrix
+from .spectra import (DEFAULT_TOL, _check_int, _check_tol, _negative_entry, _real_array,
+                      as_dense_matrix)
 
 # Exhaustive minor enumeration is refused above this many determinants.
 MINOR_BUDGET = 10_000_000
@@ -263,10 +264,11 @@ def sign_changes(v, tol=DEFAULT_TOL):
     Entries with |entry| <= tol * max|entry| are dropped; the count is the
     number of consecutive sign flips in the surviving sequence. A vector
     with no surviving entries raises ZeroVectorError, which is distinct
-    from a genuine count of zero.
+    from a genuine count of zero. A complex vector raises ValidationError:
+    its imaginary parts would otherwise be dropped unseen.
     """
     _check_tol(tol)
-    x = np.asarray(v, dtype=float).ravel()
+    x = _real_array(v, "sign_changes entries").ravel()
     if x.size == 0:
         raise ValidationError("sign_changes needs a nonempty vector")
     if not np.all(np.isfinite(x)):

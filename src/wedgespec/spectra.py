@@ -31,7 +31,8 @@ def as_dense_matrix(a):
     Parameters
     ----------
     a : array_like
-        Anything numpy can coerce to a 2-d square array of reals.
+        Anything numpy can coerce to a 2-d square array of reals; a complex
+        dtype is refused, not cast.
 
     Returns
     -------
@@ -45,15 +46,12 @@ def as_dense_matrix(a):
     Raises
     ------
     ValidationError
-        If the input is not square, is empty, or contains NaN/Inf.
+        If the input is complex, not square, empty, or contains NaN/Inf.
     """
     if type(a) is np.ndarray and a.dtype == np.float64 and a.flags.c_contiguous:
         m = a
     else:
-        try:
-            m = np.array(a, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"matrix entries must be real numbers: {exc}") from None
+        m = _real_array(a, "matrix entries")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[0] < 1:
@@ -61,6 +59,19 @@ def as_dense_matrix(a):
     if not np.all(np.isfinite(m)):
         raise ValidationError("matrix contains NaN or Inf entries")
     return m
+
+
+def _real_array(a, what):
+    """``a`` as a new float64 ndarray. A complex dtype raises ValidationError
+    naming ``what`` rather than losing its imaginary parts to a cast, as does
+    anything numpy cannot read as reals."""
+    try:
+        x = np.asarray(a)
+        if x.dtype.kind != "c":
+            return np.array(x, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what} must be real numbers: {exc}") from None
+    raise ValidationError(f"{what} must be real numbers: got dtype {x.dtype}")
 
 
 def _negative_entry(m, tol, amax):
@@ -88,7 +99,8 @@ def require_nonnegative(m, tol):
 
 
 def _check_tol(tol, name="tol"):
-    if not (isinstance(tol, (int, float)) and 0 < tol < math.inf):
+    # a bool is an int to Python, never a tolerance to a caller
+    if isinstance(tol, bool) or not (isinstance(tol, (int, float)) and 0 < tol < math.inf):
         raise ValidationError(f"{name} must be a finite positive real, got {tol!r}")
 
 

@@ -412,6 +412,13 @@ def _python(*args):
                           capture_output=True, text=True, timeout=120)
 
 
+def _similar_oscillatory(n, seed, x):
+    """D m D^-1 for m = random_oscillatory(n, seed), d = 2^U(-x, x)."""
+    m = random_oscillatory(n, seed=seed)
+    d = 2.0 ** np.random.default_rng(seed).uniform(-x, x, n)
+    return d[:, None] * m / d[None, :]
+
+
 def _csv(rows):
     return "\n".join(",".join(repr(float(x)) for x in row) for row in rows) + "\n"
 
@@ -421,11 +428,14 @@ def _csv(rows):
     # rows 0, 1 and columns 1, 2 give the minor 1 * 1 - 5 * 2
     (["tn-check", "--order", "2"], _csv([[2.0, 1.0, 5.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]]), 1),
     (["analyze"], "1.0,2.0\n3.0\n", 2),
-    # the cyclic permutation puts all 50 eigenvalues on the unit circle, which
-    # stalls the wedge iteration, and the exterior square of a 50 x 50 matrix
-    # is over the cap
-    (["analyze"], _csv(np.roll(np.eye(50), 1, axis=0)), 3),
-], ids=["oscillatory-0", "planted-violation-1", "ragged-2", "stalled-wedge-3"])
+    # D m D^-1 with d = 2^U(-8, 8) inflates ||m||_F past the wedge radius's
+    # accuracy, and the two routes to lambda2 disagree (ROADMAP item 3)
+    (["analyze"], _csv(_similar_oscillatory(3, 1, 8.0)), 3),
+    # all 50 eigenvalues of the cyclic permutation lie on the unit circle;
+    # the wedge iteration takes all 50 columns and converges
+    (["analyze"], _csv(np.roll(np.eye(50), 1, axis=0)), 0),
+], ids=["oscillatory-0", "planted-violation-1", "ragged-2", "refused-similarity-3",
+        "cyclic-50-0"])
 def test_module_process_exit_code(tmp_path, command, text, code):
     path = tmp_path / "m.csv"
     path.write_text(text)

@@ -122,6 +122,11 @@ class TestAnalyzeExamples:
         with pytest.raises(ValidationError):
             analyze([[5.0]])
 
+    def test_complex_input_rejected(self):
+        # a cast would drop the imaginary parts and analyze the real part
+        with pytest.raises(ValidationError, match="must be real numbers: got dtype complex"):
+            analyze([[2.0 + 1.0j, 1.0], [1.0, 1.0]])
+
     @pytest.mark.parametrize("seed", [-1, True, 1.5])
     @pytest.mark.parametrize("kind", ["sampled-route", "contiguous-route"])
     def test_seed_not_a_nonnegative_integer_rejected(self, kind, seed):
@@ -139,7 +144,7 @@ class TestAnalyzeExamples:
         with pytest.raises(ValidationError, match="circle_tol"):
             analyze(np.diag([3.0, 2.0, 1.0]), circle_tol=circle_tol)
 
-    @pytest.mark.parametrize("value", [math.inf, math.nan, -1.0, 0.0])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -1.0, 0.0, True])
     @pytest.mark.parametrize("name", ["tol", "residual_tol"])
     def test_tolerance_not_finite_positive_rejected(self, name, value):
         with pytest.raises(ValidationError, match=f"^{name} must be a finite positive real"):
@@ -222,7 +227,7 @@ class TestAnalyzeProperties:
         m = discretize(builtin_kernel(name), n).discretized
         assert _assert_counts_of_eigenpairs_columns(m)[1].imag == 0.0
 
-    def test_sign_counts_on_a_stall_are_those_of_the_eigenpairs_columns(self):
+    def test_sign_counts_behind_tied_moduli_are_those_of_the_eigenpairs_columns(self):
         w = _assert_counts_of_eigenpairs_columns(_one_and_four_rotations())
         assert w[1].imag != 0.0
 
@@ -241,27 +246,27 @@ class TestAnalyzeProperties:
         # materialized square; cross-check against the dense route on a grid
         # whose exterior square is entrywise positive
         from wedgespec import builtin_kernel, discretize
-        import wedgespec.gk as gkmod
 
         m = discretize(builtin_kernel("green_string"), 50).discretized
         dense = np.abs(eigenvalues(exterior_square(m, force=True))).max()
         w = np.abs(eigenvalues(m))
         assert dense == pytest.approx(w[0] * w[1], rel=1e-9)
-        implicit = gkmod._wedge_radius(m)[0]
-        assert implicit == pytest.approx(dense, rel=1e-9)
+        assert _radius(m) == pytest.approx(dense, rel=1e-9)
 
-    def test_implicit_route_refuses_rotating_wedge_spectrum(self):
-        # the cyclic permutation has all 50 eigenvalues on the unit circle,
-        # more ties at |lambda2| than the iteration has columns; it stalls,
-        # and at n = 50 the dense fallback (1,225 rows) is over the size cap,
-        # so the route must refuse rather than return a bogus radius
-        import wedgespec.gk as gkmod
-
-        m = np.roll(np.eye(50), 1, axis=0)
-        w = eigenvalues(m)
-        assert abs(w[1].imag) > 1e-8  # complex second eigenvalue
-        with pytest.raises(ConvergenceError):
-            gkmod._wedge_radius(m)
+    @pytest.mark.parametrize("n", [50, 200])
+    def test_rotating_wedge_spectrum_takes_the_whole_space(
+            self, n, iterations, single_route):
+        # the cyclic permutation has all n eigenvalues on the unit circle,
+        # more ties at |lambda2| than the six start columns; the dense
+        # moduli widen the iteration to all n columns, an invariant span, on
+        # the single route (see TestSingleRoute)
+        r = single_route(np.roll(np.eye(n), 1, axis=0))
+        assert abs(r.spectrum[1].imag) > 1e-8  # complex second eigenvalue
+        assert r.classification == CLASS_COMPLEX_PAIR
+        assert r.circle_count == n
+        assert r.rho_wedge == pytest.approx(1.0, abs=1e-12)
+        [[steps, ok]] = iterations
+        assert ok and steps <= 3
 
     def test_diagonal_similarity_perron_agreement(self):
         # power iteration used to stop at tol * ||m||, which left the Perron
@@ -365,8 +370,8 @@ def _perturb_ritz_radius(monkeypatch, factor):
 
 
 class TestPerronCheck:
-    # lambda1 is checked by the wedge iteration alone: by |theta_1|, its
-    # leading Ritz value, when it converges; a stalled iteration checks nothing
+    # lambda1 is checked by the wedge iteration alone, by |theta_1|, its
+    # leading Ritz value; an iteration that does not converge is refused
     def test_bipartite_stall_checks_nothing_and_solves_once(self, iterations, monkeypatch):
         # +-rho share the spectral circle, so power iteration would stall;
         # the Ritz step resolves both, so the one iteration converges and the
@@ -395,18 +400,20 @@ class TestPerronCheck:
         with pytest.raises(ConvergenceError, match="disagree on the spectral radius"):
             analyze(m)
 
-    def test_complex_second_eigenvalue_uses_dense_wedge_fallback(
+    def test_complex_second_eigenvalue_widens_the_iteration(
             self, iterations, monkeypatch):
-        # the iteration stalls for its 100 n steps, the 36 x 36 exterior
-        # square gives the radius, lambda1 goes unchecked, and the one 9 x 9
-        # solve is eig, whose columns give e1
+        # eight moduli tie at |lambda2|, so the iteration runs on all nine
+        # columns and converges at once; the one dense solve is eigvals, the
+        # other 9 x 9 solves are the Ritz steps' eig of q^T m q, the leading
+        # Ritz vector gives e1, and lambda1 is checked
         m = _one_and_four_rotations()
         solves = _count_solvers(monkeypatch, n=9)
         r = analyze(m)
         assert abs(r.spectrum[1].imag) > 1e-8
-        assert iterations == [[900, False]]
-        assert solves == ["eig"]
-        assert r.sign_changes_e1 is not None
+        [[steps, ok]] = iterations
+        assert ok and steps <= 3
+        assert solves == ["eigvals"] + ["eig"] * steps
+        assert r.sign_changes_e1 == sign_changes(np.eye(9)[0])
         assert r.rho_wedge == pytest.approx(2.0, rel=1e-12)
         assert r.rho_wedge == pytest.approx(_dense_wedge_radius(m), rel=1e-12)
 
@@ -440,29 +447,26 @@ class TestPerronCheck:
         with pytest.raises(ConvergenceError, match="disagree on the spectral radius"):
             analyze(m)
 
-    def test_unconverged_perron_iteration_checks_nothing(self, monkeypatch):
-        # an iteration that reports no convergence gives no lambda1 reading,
-        # however far off its moduli are, and no vectors; the radius comes
-        # from the dense exterior square (3 x 3 here, solved by eigvalsh),
-        # and e1 and e2 from the one n x n solve, eigh
+    def test_unconverged_iteration_is_refused(self, monkeypatch):
+        # an iteration that reports no convergence after its budget gives no
+        # reading at all: analyze refuses, with no dense route to fall back on
         import wedgespec.gk as gkmod
 
         inner = gkmod._ritz_iteration
-        expected = analyze(TRIDIAG)
 
         def stalled(a, start, max_iter):
             moduli, _, _ = inner(a, start, max_iter)
-            return 2.0 * moduli, None, False
+            return moduli, None, False
 
         monkeypatch.setattr(gkmod, "_ritz_iteration", stalled)
-        solves = _count_solvers(monkeypatch, n=3)
-        r = analyze(TRIDIAG)
-        assert solves == ["eigvalsh", "eigh"]
-        assert r.classification == expected.classification == CLASS_SECOND
-        assert r.sign_changes_e1 == expected.sign_changes_e1
-        assert r.sign_changes_e2 == expected.sign_changes_e2
-        assert r.lambda2 == pytest.approx(expected.lambda2, rel=1e-12)
-        assert r.rho_wedge == pytest.approx(_dense_wedge_radius(TRIDIAG), rel=1e-12)
+        with pytest.raises(ConvergenceError, match="did not converge in 300 steps"):
+            analyze(TRIDIAG)
+
+    def test_jordan_block_budget_runs_out(self):
+        # the Ritz values of a Jordan block move by about eps^(1/3) from one
+        # step to the next and never settle
+        with pytest.raises(ConvergenceError, match="did not converge in 300 steps"):
+            analyze(np.eye(3) + np.eye(3, k=1))
 
     @pytest.mark.parametrize("k", [20, -30])
     def test_tiny_negative_entry_keeps_its_verdict(self, k):
@@ -476,42 +480,46 @@ def _dense_wedge_radius(m):
     return float(np.abs(eigenvalues(exterior_square(m))).max())
 
 
+def _radius(m):
+    """rho_wedge of ``gk._wedge_radius``, sized by the dense moduli of ``m``
+    as ``analyze`` sizes it."""
+    import wedgespec.gk as gkmod
+
+    return gkmod._wedge_radius(m, np.abs(eigenvalues(m)))[0]
+
+
 class TestWedgeRadius:
     @pytest.mark.parametrize("n", range(2, 11))
     def test_matches_dense_square_on_oscillatory(self, n):
-        from wedgespec.gk import _wedge_radius
-
         m = random_oscillatory(n, seed=7000 + n)
-        assert _wedge_radius(m)[0] == pytest.approx(_dense_wedge_radius(m), rel=1e-10)
+        assert _radius(m) == pytest.approx(_dense_wedge_radius(m), rel=1e-10)
 
     @pytest.mark.parametrize("name", ["green_string", "gaussian", "cauchy"])
     @pytest.mark.parametrize("n", [44, 46])
     def test_matches_dense_square_on_kernels(self, name, n):
         # 44 and 46 sat on either side of the old dense/implicit switch
         from wedgespec import builtin_kernel, discretize
-        from wedgespec.gk import _wedge_radius
 
         m = discretize(builtin_kernel(name), n).discretized
         dense = float(np.abs(eigenvalues(exterior_square(m, force=True))).max())
-        assert _wedge_radius(m)[0] == pytest.approx(dense, rel=1e-10)
+        assert _radius(m) == pytest.approx(dense, rel=1e-10)
 
     @pytest.mark.parametrize("k", [-500, -40, -8, 2, 40, 480])
     def test_exact_even_power_of_two_scaling(self, k):
-        from wedgespec.gk import _wedge_radius
-
         m = random_oscillatory(7, seed=11)
         c = 2.0 ** k
-        assert _wedge_radius(c * m)[0] == _wedge_radius(m)[0] * c * c
+        assert _radius(c * m) == _radius(m) * c * c
 
-    def test_three_cycle_uses_dense_fallback(self):
-        # every wedge eigenvalue of the 3-cycle has modulus 1, so the
-        # iteration cannot converge and the radius comes from the dense square
-        from wedgespec.gk import _wedge_radius
+    def test_three_cycle_takes_the_whole_space(self, monkeypatch):
+        # every wedge eigenvalue of the 3-cycle has modulus 1, so two columns
+        # cannot converge; the dense moduli widen the iteration to all three
         from wedgespec.spectra import _ritz_iteration
 
         start = np.column_stack([np.ones(3), np.arange(3.0)])
         assert not _ritz_iteration(THREE_CYCLE, start, 300)[2]
-        assert _wedge_radius(THREE_CYCLE)[0] == pytest.approx(1.0, rel=1e-12)
+        seen = _record_iterations(monkeypatch)
+        assert _radius(THREE_CYCLE) == pytest.approx(1.0, rel=1e-12)
+        assert [(k, ok) for _, k, (_, _, ok) in seen] == [(3, True)]
 
     @pytest.mark.parametrize("c", [1.0, 5.0])
     def test_start_outside_polynomial_invariant_subspace(self, c):
@@ -547,8 +555,8 @@ class TestWedgeRadius:
         assert r.residual_theorem3 <= DEFAULT_RESIDUAL_TOL
         inner = gkmod._wedge_radius
 
-        def wrong(a):
-            radius, lambda1, vectors = inner(a)
+        def wrong(a, moduli):
+            radius, lambda1, vectors = inner(a, moduli)
             return 1.5 * radius, lambda1, vectors
 
         monkeypatch.setattr(gkmod, "_wedge_radius", wrong)
@@ -565,10 +573,8 @@ class TestWedgeRadius:
     def test_zero_radius(self, m):
         # nilpotent and rank-one inputs, and a Jordan block behind a simple
         # eigenvalue: zero up to the rounding of |theta_1 theta_2|
-        from wedgespec.gk import _wedge_radius
-
         eps = np.finfo(float).eps
-        assert _wedge_radius(m)[0] <= 4 * eps * np.linalg.norm(m) ** 2
+        assert _radius(m) <= 4 * eps * np.linalg.norm(m) ** 2
 
     def test_jordan_block_keeps_its_verdict(self):
         # the nilpotent block's Ritz values meet the residual target while
@@ -578,10 +584,10 @@ class TestWedgeRadius:
         assert r.rho_wedge == 0.0
 
 
-def _similar(n, seed):
-    """random_oscillatory(n, seed) and its similarity D m D^-1, d = 2^U(-4, 4)."""
+def _similar(n, seed, x=4.0):
+    """random_oscillatory(n, seed) and its similarity D m D^-1, d = 2^U(-x, x)."""
     m = random_oscillatory(n, seed=seed)
-    d = 2.0 ** np.random.default_rng(seed).uniform(-4.0, 4.0, n)
+    d = 2.0 ** np.random.default_rng(seed).uniform(-x, x, n)
     return m, d[:, None] * m / d[None, :]
 
 
@@ -601,6 +607,16 @@ class TestDiagonalSimilarity:
         assert s.lambda1 == pytest.approx(r.lambda1, rel=1e-8)
         assert s.lambda2 == pytest.approx(r.lambda2, rel=1e-8)
 
+    @pytest.mark.xfail(strict=True, raises=ConvergenceError,
+                       reason="ROADMAP item 3: the wedge radius is accurate only to "
+                              "about 1e-13 ||m||_F^2, which d = 2^U(-8, 8) inflates")
+    def test_wider_similarity_keeps_the_verdict(self):
+        # 180 of the 1,000 sweep draws at x = 8 are refused; this is the first
+        m, similar = _similar(3, 1, x=8.0)
+        r, s = analyze(m), analyze(similar)
+        assert s.classification == r.classification == CLASS_SECOND
+        assert s.lambda2 == pytest.approx(r.lambda2, rel=1e-8)
+
     @pytest.mark.parametrize("m", [
         _similar(3, 56)[1],
         discretize(builtin_kernel("gaussian"), 60).discretized,
@@ -609,12 +625,11 @@ class TestDiagonalSimilarity:
         # converged means the leading min(2, k) Ritz pairs (theta, x) have
         # ||a x - x theta||_F <= 1e-13 ||a||_F, for the Perron column and the
         # wedge columns alike
-        import wedgespec.gk as gkmod
         from wedgespec import perron_pair
 
         seen = _record_iterations(monkeypatch)
         perron_pair(m)
-        gkmod._wedge_radius(m)
+        _radius(m)
         assert [ok for _, _, (_, _, ok) in seen] == [True, True]
         assert [k for _, k, _ in seen] == [1, max(2, min(6, m.shape[0] - 1))]
         for a, k, (_, x, _) in seen:
@@ -696,10 +711,8 @@ class TestOrthonormalization:
     def test_rank_one_wedge_takes_the_fallback(self, m, monkeypatch, qr_calls):
         # m q has rank one, and the Householder QR of each step completes it
         # to an orthonormal basis; the radius is zero to rounding
-        import wedgespec.gk as gkmod
-
         seen = _record_iterations(monkeypatch)
-        radius = gkmod._wedge_radius(m)[0]
+        radius = _radius(m)
         assert len(qr_calls) >= 2
         assert radius <= 4 * np.finfo(float).eps * np.linalg.norm(m) ** 2
         [(a, _, (_, x, ok))] = seen
@@ -707,14 +720,56 @@ class TestOrthonormalization:
 
     def test_tiny_second_eigenvalue_keeps_its_radius(self, monkeypatch):
         # lambda2 is 1e-9 of lambda1, and lambda3 half of lambda2
-        import wedgespec.gk as gkmod
-
         basis = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))[0]
         m = basis @ np.diag([1.0, 1e-9, 5e-10, 1e-10]) @ basis.T
         seen = _record_iterations(monkeypatch)
-        assert gkmod._wedge_radius(m)[0] == pytest.approx(1e-9, rel=1e-7)
+        assert _radius(m) == pytest.approx(1e-9, rel=1e-7)
         [(a, _, (_, x, ok))] = seen
         assert ok and _ritz_residual(a, x) <= 1e-13
+
+
+@pytest.fixture
+def single_route(monkeypatch, iterations):
+    """Make the exterior square and ``eigenpairs`` raise wherever ``analyze``
+    could reach them, and record the dense solves; check on return that one
+    call made one eigvals or eigvalsh solve and one converged iteration."""
+    import wedgespec.gk as gkmod
+    import wedgespec.spectra as spectramod
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("analyze reached a dense fallback")
+
+    monkeypatch.setattr(gkmod.compound, "exterior_square", refuse)
+    monkeypatch.setattr(spectramod, "eigenpairs", refuse)
+
+    def run(m):
+        solves = _count_solvers(monkeypatch, n=len(m))
+        r = analyze(m)
+        [[steps, ok]] = iterations
+        # with p = n columns each Ritz step's eig is n x n as well
+        assert ok and solves[0] in ("eigvals", "eigvalsh")
+        assert solves[1:] in ([], ["eig"] * steps)
+        return r
+
+    return run
+
+
+class TestSingleRoute:
+    # every analyze makes one dense solve and one Ritz iteration: there is no
+    # exterior square and no eigenpairs call to fall back on
+    @pytest.mark.parametrize("m, classification", [
+        (THREE_CYCLE, CLASS_COMPLEX_PAIR),
+        (_one_and_four_rotations(), CLASS_VIOLATED),
+        (_bipartite(200), CLASS_MULTIPLE),
+        *((discretize(builtin_kernel(name), n).discretized, CLASS_SECOND)
+          for name in ("green_string", "gaussian", "cauchy") for n in (46, 200)),
+    ], ids=["three-cycle", "two-and-rotations", "bipartite-400",
+            *(f"{name}-{n}" for name in ("green_string", "gaussian", "cauchy")
+              for n in (46, 200))])
+    def test_no_dense_fallback(self, m, classification, single_route):
+        r = single_route(m)
+        assert r.classification == classification
+        assert r.residual_theorem3 <= DEFAULT_RESIDUAL_TOL
 
 
 class TestVerifyTheorem1:

@@ -320,6 +320,11 @@ class TestSignChanges:
         with pytest.raises(ValidationError):
             sign_changes([])
 
+    def test_complex_rejected(self):
+        # a cast would count the real parts [1, -1] as one sign change
+        with pytest.raises(ValidationError, match="must be real numbers: got dtype complex"):
+            sign_changes([1.0 + 1.0j, -1.0])
+
 
 class TestRandomTN:
     def test_small_case_nonnegative_det(self):

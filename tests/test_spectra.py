@@ -38,6 +38,15 @@ class TestEigenvalues:
         with pytest.raises(ValidationError):
             eigenvalues([[1.0, 2.0, 3.0]])
 
+    @pytest.mark.parametrize("a", [
+        [[2.0 + 1.0j, 1.0], [1.0, 1.0]],
+        np.eye(2, dtype=complex),  # a complex dtype even with zero imaginary parts
+    ], ids=["complex-entry", "complex-dtype"])
+    def test_complex_rejected(self, a):
+        # a cast to float64 would drop the imaginary parts with only a warning
+        with pytest.raises(ValidationError, match="must be real numbers: got dtype complex"):
+            as_dense_matrix(a)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_conjugation_closure(self, seed):
         rng = np.random.default_rng(seed)
