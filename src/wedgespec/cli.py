@@ -4,6 +4,13 @@ Exit codes are a stable contract: 0 success, 1 property or verdict failure,
 2 input error, 3 numerical failure. All randomness flows from the explicit
 --seed flag, and numbers are emitted via shortest round-trip decimals, so a
 repeated invocation with identical flags produces byte-identical output.
+
+Every ``cmd_*`` function takes the parsed arguments and returns
+``(exit code, document, text)``: the document is what ``--format json``
+encodes, and ``text`` is a zero-argument callable rendering the text
+report, called only when that format is chosen. ``main`` alone picks the
+format and writes the result to ``--out`` or stdout, so both targets get
+the same bytes; a command that raises writes nothing.
 """
 
 import argparse
@@ -34,16 +41,8 @@ def _load_matrix(path):
     return kernel._read_table(path, "data")[0]
 
 
-def _matrix_to_csv(m):
-    return "\n".join(",".join(repr(float(x)) for x in row) for row in np.asarray(m)) + "\n"
-
-
-def _emit(payload, out):
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+def _csv_rows(m):
+    return [",".join(repr(float(x)) for x in row) for row in np.asarray(m)]
 
 
 def _json_doc(doc):
@@ -54,6 +53,10 @@ def _json_doc(doc):
 
 def _fmt_complex(z):
     return repr(complex(z))
+
+
+def _lines(lines):
+    return "\n".join(lines) + "\n"
 
 
 def _certificate_lines(label, cert):
@@ -70,7 +73,7 @@ def _certificate_lines(label, cert):
     return lines
 
 
-def _report_text(report):
+def _report_lines(report):
     lines = [
         f"classification: {report.classification}",
         f"lambda1: {report.lambda1!r}",
@@ -93,27 +96,19 @@ def _report_text(report):
     lines.extend(_certificate_lines("hypothesis_order_2", c2))
     lines.append("spectrum: " + " ".join(_fmt_complex(z) for z in report.spectrum))
     lines.append(f"tolerance: {report.tolerance!r}")
-    return "\n".join(lines) + "\n"
+    return lines
 
 
 def cmd_analyze(args):
     m = _load_matrix(args.input)
     report = gk.analyze(m, tol=args.tol, circle_tol=args.circle_tol, seed=args.seed)
-    if args.format == "json":
-        _emit(_json_doc(gk.report_to_dict(report)), args.out)
-    else:
-        _emit(_report_text(report), args.out)
-    return EXIT_OK
+    return EXIT_OK, gk.report_to_dict(report), lambda: _lines(_report_lines(report))
 
 
 def cmd_compound(args):
     m = _load_matrix(args.input)
     c = compound_mod.compound_matrix(m, args.order, force=args.force)
-    if args.format == "json":
-        _emit(_json_doc({"data": c}), args.out)
-    else:
-        _emit(_matrix_to_csv(c), args.out)
-    return EXIT_OK
+    return EXIT_OK, {"data": c}, lambda: _lines(_csv_rows(c))
 
 
 def cmd_tn_check(args):
@@ -122,16 +117,15 @@ def cmd_tn_check(args):
         m, args.order, tol=args.tol, sample=args.sample,
         samples=args.samples, seed=args.seed,
     )
-    if args.format == "json":
-        _emit(_json_doc(cert), args.out)
-    else:
-        _emit("\n".join(_certificate_lines("tn_check", cert)) + "\n", args.out)
-    return EXIT_OK if cert.verdict else EXIT_VERDICT
+    code = EXIT_OK if cert.verdict else EXIT_VERDICT
+    return code, cert, lambda: _lines(_certificate_lines("tn_check", cert))
 
 
 def cmd_kernel(args):
     if args.name:
         spec = kernel.builtin_kernel(args.name, args.param)
+    elif args.param is not None:
+        raise ValidationError("--param applies to a builtin kernel (--name), not to --file")
     else:
         spec = kernel.load_kernel(args.file)
     grid = kernel.discretize(spec, args.grid, rule=args.rule)
@@ -144,17 +138,9 @@ def cmd_kernel(args):
         tol=args.tol,
     )
     report = gk.analyze(grid.discretized, tol=args.tol, seed=args.seed)
-    if args.format == "json":
-        doc = {"kernel_certificate": cert, "analysis": gk.report_to_dict(report)}
-        _emit(_json_doc(doc), args.out)
-    else:
-        text = (
-            "\n".join(_certificate_lines("kernel_tn_check", cert))
-            + "\n"
-            + _report_text(report)
-        )
-        _emit(text, args.out)
-    return EXIT_OK
+    doc = {"kernel_certificate": cert, "analysis": gk.report_to_dict(report)}
+    return EXIT_OK, doc, lambda: _lines(_certificate_lines("kernel_tn_check", cert)
+                                        + _report_lines(report))
 
 
 def cmd_generate(args):
@@ -162,8 +148,7 @@ def cmd_generate(args):
         m = positivity.random_oscillatory(args.n, args.seed)
     else:
         m = positivity.random_tn(args.n, args.seed, args.factors)
-    _emit(_matrix_to_csv(m), args.out)
-    return EXIT_OK
+    return EXIT_OK, {"data": m}, lambda: _lines(_csv_rows(m))
 
 
 def _trial_matrix(n, seed, index):
@@ -188,42 +173,35 @@ def cmd_verify(args):
         worst = max(worst, rep.max_residual)
         if not rep.matched:
             failures.append((t, m, rep))
-    all_matched = not failures
-    if args.format == "json":
-        doc = {
-            "theorem": args.theorem,
-            "n": args.n,
-            "trials": args.trials,
-            "all_matched": all_matched,
-            "worst_residual": worst,
-            "failures": len(failures),
-            "counterexample": None,
-        }
-        if failures:
-            t, m, rep = failures[0]
-            doc["counterexample"] = {"trial": t, "matrix": m,
-                                     "report": gk.verification_to_dict(rep)}
-        _emit(_json_doc(doc), args.out)
-    else:
+    doc = {
+        "theorem": args.theorem,
+        "n": args.n,
+        "trials": args.trials,
+        "all_matched": not failures,
+        "worst_residual": worst,
+        "failures": len(failures),
+        "counterexample": None,
+    }
+    if failures:
+        t, m, rep = failures[0]
+        doc["counterexample"] = {"trial": t, "matrix": m, "report": gk.verification_to_dict(rep)}
+
+    def text():
         lines = [
             f"theorem: {args.theorem}",
             f"trials: {args.trials} at n={args.n}",
-            f"all_matched: {all_matched}",
+            f"all_matched: {not failures}",
             f"worst_residual: {worst!r}",
         ]
-        payload = "\n".join(lines) + "\n"
         if failures:
             t, m, rep = failures[0]
-            payload += f"counterexample (trial {t}):\n" + _matrix_to_csv(m)
-            payload += (
-                "leftover_square: "
-                + " ".join(_fmt_complex(z) for z in rep.leftovers[0])
-                + "\nleftover_products: "
-                + " ".join(_fmt_complex(z) for z in rep.leftovers[1])
-                + "\n"
-            )
-        _emit(payload, args.out)
-    return EXIT_OK if all_matched else EXIT_VERDICT
+            square, products = rep.leftovers
+            lines += [f"counterexample (trial {t}):", *_csv_rows(m),
+                      "leftover_square: " + " ".join(_fmt_complex(z) for z in square),
+                      "leftover_products: " + " ".join(_fmt_complex(z) for z in products)]
+        return _lines(lines)
+
+    return (EXIT_VERDICT if failures else EXIT_OK), doc, text
 
 
 def _seed(text):
@@ -304,10 +282,16 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, doc, text = args.func(args)
+        payload = _json_doc(doc) if args.format == "json" else text()
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        else:
+            sys.stdout.write(payload)
+        return code
     except (ValidationError, ResourceLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

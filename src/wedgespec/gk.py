@@ -160,9 +160,11 @@ def analyze(m, tol=DEFAULT_TOL, circle_tol=DEFAULT_CIRCLE_TOL,
         General relative tolerance (solver residuals, nonnegativity slack,
         zero thresholds).
     circle_tol : float
-        An eigenvalue counts as on the spectral circle iff its modulus is
-        >= lambda1 * (1 - circle_tol). Exact circle membership has no
-        floating-point meaning, so the threshold is part of the report.
+        A Python or numpy float in (0, 1); anything else raises
+        ValidationError. An eigenvalue counts as on the spectral circle
+        iff its modulus is >= lambda1 * (1 - circle_tol). Exact circle
+        membership has no floating-point meaning, so the threshold is part
+        of the report.
     residual_tol : float
         A finite positive cap on ``residual_theorem3``, the discrepancy
         between rho_wedge and lambda1 |lambda2| from the dense spectrum,
@@ -182,7 +184,7 @@ def analyze(m, tol=DEFAULT_TOL, circle_tol=DEFAULT_CIRCLE_TOL,
     m = as_dense_matrix(m)
     _check_tol(tol)
     _check_tol(residual_tol, "residual_tol")
-    if not 0.0 < circle_tol < 1.0:
+    if not (isinstance(circle_tol, (float, np.floating)) and 0.0 < circle_tol < 1.0):
         raise ValidationError(f"circle_tol must be a real in (0, 1), got {circle_tol!r}")
     if m.shape[0] < 2:
         raise ValidationError("analysis needs dimension n >= 2")

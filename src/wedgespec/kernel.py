@@ -17,7 +17,7 @@ import numpy as np
 from .compound import exterior_square
 from .errors import ValidationError
 from .positivity import _sample_minors
-from .spectra import DEFAULT_TOL, _check_int, _check_tol, as_dense_matrix
+from .spectra import DEFAULT_TOL, _check_int, _check_tol, _real_array, as_dense_matrix
 
 BUILTIN_NAMES = ("green_string", "gaussian", "cauchy")
 
@@ -49,15 +49,6 @@ class KernelGrid:
     discretized: np.ndarray
 
 
-def _as_reals(x, what):
-    """``x`` as a new float64 array; input numpy cannot convert raises
-    ValidationError naming ``what``."""
-    try:
-        return np.array(x, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{what} must be real numbers: {exc}") from None
-
-
 def builtin_kernel(name, param=None):
     """KernelSpec for a named builtin; ``param`` is the gaussian width."""
     if name not in BUILTIN_NAMES:
@@ -67,7 +58,7 @@ def builtin_kernel(name, param=None):
     if name == "gaussian":
         width = DEFAULT_GAUSSIAN_WIDTH
         if param is not None:
-            width = _as_reals(param, "gaussian width").tolist()
+            width = _real_array(param, "gaussian width").tolist()
         _check_tol(width, "gaussian width")
         return KernelSpec(kind="builtin", name=name, param=width)
     if param is not None:
@@ -85,7 +76,7 @@ def tabulated_kernel(values, nodes=None):
     v = as_dense_matrix(values).copy()
     t = None
     if nodes is not None:
-        t = _as_reals(nodes, "kernel nodes").ravel()
+        t = _real_array(nodes, "kernel nodes").ravel()
         if t.size != v.shape[0]:
             raise ValidationError(
                 f"got {t.size} nodes for a {v.shape[0]}x{v.shape[0]} table"
@@ -130,7 +121,11 @@ def load_kernel(path):
     return tabulated_kernel(values, doc.get("nodes"))
 
 
-def _implied_nodes(count):
+def _nodes(spec, count):
+    """The stored nodes of a tabulated kernel, else the ``count`` midpoints
+    (i + 1/2) / count of the uniform grid."""
+    if spec.kind == "tabulated" and spec.nodes is not None:
+        return spec.nodes
     return (np.arange(count) + 0.5) / count
 
 
@@ -169,16 +164,32 @@ def kernel_value(spec, t, s):
     """Pointwise evaluation of a builtin kernel on the closed unit square."""
     if spec.kind != "builtin":
         raise ValidationError("pointwise evaluation needs a builtin kernel")
-    t = _as_reals(t, "kernel arguments")
-    s = _as_reals(s, "kernel arguments")
+    t = _real_array(t, "kernel arguments")
+    s = _real_array(s, "kernel arguments")
     _check_unit_interval(t, s)
     return _eval_builtin(spec, t, s)
 
 
-def _tabulated_grid(spec):
-    n = spec.values.shape[0]
-    nodes = spec.nodes if spec.nodes is not None else _implied_nodes(n)
-    return nodes, spec.values
+def _kernel_table(spec, t, s):
+    """The table k(t_i, s_j) for 1-d float64 argument arrays ``t`` and ``s``.
+
+    A builtin kernel is evaluated anywhere on [0, 1]. A tabulated kernel is
+    known only at its nodes: each argument is matched to its nearest node,
+    must lie within 1e-12 of it, and reads the stored sample there. NaN
+    fails both tests, so either kind refuses it with ValidationError.
+    """
+    if spec.kind == "builtin":
+        _check_unit_interval(t, s)
+        return _eval_builtin(spec, t[:, None], s[None, :])
+    nodes = _nodes(spec, spec.values.shape[0])
+    index = []
+    for a in (t, s):
+        k = np.searchsorted(0.5 * (nodes[1:] + nodes[:-1]), a)
+        off = a[~(np.abs(nodes[k] - a) <= 1e-12)]
+        if off.size:
+            raise ValidationError(f"argument {off[0]} is not a node of the tabulated kernel")
+        index.append(k)
+    return spec.values[np.ix_(*index)]
 
 
 def discretize(spec, n, rule="midpoint"):
@@ -206,7 +217,7 @@ def discretize(spec, n, rule="midpoint"):
         raise ValidationError(f'rule must be "midpoint" or "trapezoid", got {rule!r}')
 
     if spec.kind == "tabulated":
-        nodes, values = _tabulated_grid(spec)
+        nodes = _nodes(spec, spec.values.shape[0])
         if nodes.size != n:
             raise ValidationError(
                 f"tabulated kernel has {nodes.size} nodes but grid size {n} was requested"
@@ -215,16 +226,16 @@ def discretize(spec, n, rule="midpoint"):
         weights = np.diff(edges)
     elif spec.kind == "builtin":
         if rule == "midpoint":
-            nodes = _implied_nodes(n)
+            nodes = _nodes(spec, n)
             weights = np.full(n, 1.0 / n)
         else:
             nodes = np.linspace(0.0, 1.0, n)
             h = 1.0 / (n - 1)
             weights = np.full(n, h)
             weights[0] = weights[-1] = h / 2.0
-        values = _eval_builtin(spec, nodes[:, None], nodes[None, :])
     else:
         raise ValidationError(f"unknown kernel kind {spec.kind!r}")
+    values = _kernel_table(spec, nodes, nodes)
 
     if np.any(np.diff(nodes) <= 0.0):
         raise ValidationError("quadrature nodes must be strictly increasing")
@@ -246,28 +257,11 @@ def second_associated(spec, t1, t2, s1, s2):
     their stored nodes only (arguments are matched to nodes within 1e-12).
     Antisymmetric under swapping t1 with t2 and under swapping s1 with s2.
     """
-    args = _as_reals((t1, t2, s1, s2), "kernel arguments")
+    args = _real_array((t1, t2, s1, s2), "kernel arguments")
     if args.shape != (4,):
         raise ValidationError("second_associated takes four real arguments")
-    args = args.tolist()
-    if spec.kind == "builtin":
-        _check_unit_interval(*args)
-        a = _eval_builtin(spec, args[0], args[2])
-        b = _eval_builtin(spec, args[0], args[3])
-        c = _eval_builtin(spec, args[1], args[2])
-        d = _eval_builtin(spec, args[1], args[3])
-        return float(a * d - b * c)
-    nodes, values = _tabulated_grid(spec)
-    idx = []
-    for a in args:
-        k = int(np.argmin(np.abs(nodes - a)))
-        if abs(float(nodes[k]) - a) > 1e-12:
-            raise ValidationError(
-                f"argument {a} is not a node of the tabulated kernel"
-            )
-        idx.append(k)
-    i1, i2, j1, j2 = idx
-    return float(values[i1, j1] * values[i2, j2] - values[i1, j2] * values[i2, j1])
+    (a, b), (c, d) = _kernel_table(spec, args[:2], args[2:])
+    return float(a * d - b * c)
 
 
 def kernel_tn_check(spec, sample_nodes, order, trials, seed, tol=DEFAULT_TOL):
@@ -287,14 +281,13 @@ def kernel_tn_check(spec, sample_nodes, order, trials, seed, tol=DEFAULT_TOL):
     trials = _check_int(trials, "trials", 1)
     seed = _check_int(seed, "seed", 0)
     if spec.kind == "builtin":
-        grid = _implied_nodes(_check_int(sample_nodes, "sample_nodes", order))
-        table = _eval_builtin(spec, grid[:, None], grid[None, :])
+        grid = _nodes(spec, _check_int(sample_nodes, "sample_nodes", order))
     else:
-        _, table = _tabulated_grid(spec)
-        if table.shape[0] < order:
+        grid = _nodes(spec, spec.values.shape[0])
+        if grid.size < order:
             raise ValidationError(
-                f"tabulated kernel has {table.shape[0]} nodes, fewer than order {order}"
-            )
+                f"tabulated kernel has {grid.size} nodes, fewer than order {order}")
+    table = _kernel_table(spec, grid, grid)
     rngs = (np.random.default_rng(np.random.SeedSequence(entropy=(seed, t)))
             for t in range(trials))
     return _sample_minors(table, order, rngs, tol)

@@ -136,9 +136,10 @@ def is_totally_nonnegative(m, k, tol=DEFAULT_TOL, budget=MINOR_BUDGET, sample=Fa
     tol : float
         Relative tolerance; order-j minors are accepted at >= -tol * amax^j.
     budget : int
-        Cap on the exhaustive determinant count. When the estimate exceeds
-        it and ``sample`` is False, a ResourceLimitError suggests either a
-        smaller k or sampling mode.
+        Cap on the exhaustive determinant count, a nonnegative integer
+        checked in both modes. When the estimate exceeds it and ``sample``
+        is False, a ResourceLimitError suggests either a smaller k or
+        sampling mode.
     sample : bool
         Evaluate ``samples`` seeded random minors instead of all of them;
         the certificate is downgraded to mode="sampled".
@@ -154,6 +155,7 @@ def is_totally_nonnegative(m, k, tol=DEFAULT_TOL, budget=MINOR_BUDGET, sample=Fa
     _check_tol(tol)
     n = m.shape[0]
     k = _check_int(k, "order k", 1, n)
+    budget = _check_int(budget, "budget", 0)
     seed = _check_int(seed, "seed", 0)
     if sample:
         samples = _check_int(samples, "samples", 1)
@@ -232,10 +234,12 @@ def is_two_totally_nonnegative(m, tol=DEFAULT_TOL, budget=MINOR_BUDGET,
     (see ``_contiguous_order_two``). Only input that scan leaves undecided
     (zeros, or a contiguous minor in the slack band) is swept exhaustively
     under the minor budget, and above the budget sampled with ``samples``
-    minors from ``seed``; the certificate's mode says which.
+    minors from ``seed``; the certificate's mode says which. ``budget``,
+    ``samples`` and ``seed`` are checked on every call.
     """
     m = as_dense_matrix(m)
     _check_tol(tol)
+    budget = _check_int(budget, "budget", 0)
     samples = _check_int(samples, "samples", 1)
     seed = _check_int(seed, "seed", 0)
     n = m.shape[0]

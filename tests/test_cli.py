@@ -246,6 +246,16 @@ class TestKernel:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_param_with_file_exit_2(self, capsys, tmp_path):
+        # --param is the gaussian width; a tabulated kernel has none, and the
+        # flag is refused as it is for a builtin that takes no parameter
+        path = tmp_path / "const.csv"
+        path.write_text("1.0,0.5\n0.5,1.0\n")
+        code, out, err = run(capsys, "kernel", "--file", str(path), "--grid", "2",
+                             "--param", "3")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "--param" in err
+
     def test_gaussian_with_param(self, capsys):
         code, out, _ = run(capsys, "kernel", "--name", "gaussian", "--param", "0.5",
                            "--grid", "40", "--trials", "50", "--format", "json")
@@ -283,6 +293,19 @@ class TestGenerate:
              for line in target.read_text().splitlines()]
         )
         np.testing.assert_array_equal(parsed, random_oscillatory(4, 3))
+
+    def test_json_document_roundtrip_bitwise(self, capsys, tmp_path):
+        argv = ("generate", "--n", "5", "--seed", "42")
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        doc = json.loads(out)
+        assert code == 0 and list(doc) == ["data"]
+        np.testing.assert_array_equal(np.array(doc["data"]), random_tn(5, 42, factors=20))
+        # analyze reads the document as it reads the CSV of the same matrix
+        (tmp_path / "m.json").write_text(out)
+        run(capsys, *argv, "--out", str(tmp_path / "m.csv"))
+        from_json = run(capsys, "analyze", str(tmp_path / "m.json"))
+        assert from_json[0] == 0
+        assert from_json == run(capsys, "analyze", str(tmp_path / "m.csv"))
 
     def test_oscillatory_n13_passes_numpy_oracle(self, capsys):
         code, out, _ = run(capsys, "generate", "--oscillatory", "--n", "13", "--seed", "0")
@@ -442,3 +465,64 @@ def test_module_process_exit_code(tmp_path, command, text, code):
     proc = _python("-m", "wedgespec.cli", *command, str(path))
     assert proc.returncode == code, proc.stderr[-2000:]
     assert (proc.stdout == "") == (code >= 2)
+
+
+# One command per subcommand and outcome; each runs in both formats.
+OUTPUT_COMMANDS = {
+    "analyze": (("analyze", "{tri}"), 0),
+    "compound": (("compound", "{tri}", "--order", "2"), 0),
+    "tn-check": (("tn-check", "{tri}", "--order", "3"), 0),
+    "tn-check-violated": (("tn-check", "{anti}", "--order", "2"), 1),
+    "kernel": (("kernel", "--name", "green_string", "--grid", "12", "--trials", "20"), 0),
+    "generate": (("generate", "--n", "4", "--seed", "3", "--oscillatory"), 0),
+    "verify": (("verify", "--theorem", "2", "--n", "4", "--trials", "3", "--seed", "1"), 0),
+    # no pair of floats matches within 1e-300, so a counterexample is printed
+    "verify-counterexample": (("verify", "--theorem", "2", "--n", "8", "--trials", "3",
+                               "--seed", "2", "--tol", "1e-300"), 1),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("name", list(OUTPUT_COMMANDS))
+def test_out_file_gets_the_stdout_bytes(capsys, tmp_path, tridiag_csv, name, fmt):
+    anti = tmp_path / "anti.csv"
+    anti.write_text("0.0,1.0\n1.0,0.0\n")
+    argv, expected = OUTPUT_COMMANDS[name]
+    argv = [a.format(tri=tridiag_csv, anti=anti) for a in argv] + ["--format", fmt]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (expected, "")
+    assert out.endswith("\n") and (fmt == "text") != out.startswith("{")
+    target = tmp_path / "out.txt"
+    assert run(capsys, *argv, "--out", str(target)) == (expected, "", "")
+    assert target.read_bytes() == out.encode("utf-8")
+
+
+def test_counterexample_text(capsys):
+    argv, _ = OUTPUT_COMMANDS["verify-counterexample"]
+    code, out, _ = run(capsys, *argv)
+    lines = out.splitlines()
+    assert code == 1 and lines[2] == "all_matched: False"
+    trial = int(lines[4].removeprefix("counterexample (trial ").removesuffix("):"))
+    m = np.array([[float(x) for x in row.split(",")] for row in lines[5:13]])
+    np.testing.assert_array_equal(m, _trial_matrix(8, 2, trial))
+    assert len(lines) == 15
+    assert lines[13].startswith("leftover_square: (")
+    assert lines[14].startswith("leftover_products: (")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("generate", "--n", "3", "--seed", "1"), 0),
+    (("tn-check", "{anti}", "--order", "2"), 1),
+    (("analyze", "{ragged}"), 2),
+], ids=["exit-0", "exit-1", "exit-2"])
+def test_console_script_entry_exit_code(tmp_path, argv, code):
+    # the installed ``wedgespec`` script calls cli.entry, which exits with
+    # main's return value
+    (tmp_path / "anti.csv").write_text("0.0,1.0\n1.0,0.0\n")
+    (tmp_path / "ragged.csv").write_text("1.0,2.0\n3.0\n")
+    argv = [a.format(anti=tmp_path / "anti.csv", ragged=tmp_path / "ragged.csv") for a in argv]
+    script = ("import sys\nfrom wedgespec.cli import entry\n"
+              "sys.argv = ['wedgespec', *sys.argv[1:]]\nentry()\n")
+    proc = _python("-c", script, *argv)
+    assert proc.returncode == code, proc.stderr[-2000:]
+    assert (proc.stdout == "") == (code == 2)

@@ -139,10 +139,16 @@ class TestAnalyzeExamples:
         with pytest.raises(ValidationError, match="^seed must be an integer >= 0"):
             analyze(m, seed=seed)
 
-    @pytest.mark.parametrize("circle_tol", [-1.0, 0.0, 1.0, 2.0, math.nan, math.inf])
+    # the last three are no reals at all and raised a bare TypeError
+    @pytest.mark.parametrize("circle_tol", [-1.0, 0.0, 1.0, 2.0, math.nan, math.inf,
+                                            "x", None, [0.5]])
     def test_circle_tol_outside_unit_interval_rejected(self, circle_tol):
         with pytest.raises(ValidationError, match="circle_tol"):
             analyze(np.diag([3.0, 2.0, 1.0]), circle_tol=circle_tol)
+
+    def test_numpy_circle_tol_accepted(self):
+        r = analyze(np.diag([3.0, 2.0, 1.0]), circle_tol=np.float64(1e-3))
+        assert r.circle_tol == 1e-3 and r.classification == "second_eigenvalue_found"
 
     @pytest.mark.parametrize("value", [math.inf, math.nan, -1.0, 0.0, True])
     @pytest.mark.parametrize("name", ["tol", "residual_tol"])

@@ -26,6 +26,8 @@ from wedgespec.kernel import CAUCHY_SHIFT, kernel_value
 from wedgespec.positivity import MinorWitness
 
 GREEN = builtin_kernel("green_string")
+# a 4-node table on the implied midpoints 0.125, 0.375, 0.625, 0.875
+TABLE = tabulated_kernel(np.arange(16.0).reshape(4, 4) ** 0.5 + 1)
 
 # String kernel eigenvalues 1/(k pi)^2, eigenfunctions sin(k pi t).
 STRING_EIGS = [1.0 / (k * k * math.pi ** 2) for k in (1, 2, 3)]
@@ -57,13 +59,18 @@ class TestBuiltins:
         lambda: kernel_value(GREEN, math.nan, 0.5),
         lambda: kernel_value(GREEN, 0.5, [0.2, math.nan]),
         lambda: second_associated(GREEN, math.nan, 0.5, 0.2, 0.3),
+        # a NaN argument of a tabulated kernel is no node, as for a builtin
+        lambda: second_associated(TABLE, math.nan, 0.375, 0.125, 0.375),
         lambda: builtin_kernel("gaussian", math.inf),
         # strings numpy cannot read as reals
         lambda: builtin_kernel("gaussian", "abc"),
         lambda: second_associated(GREEN, "x", 0.5, 0.2, 0.3),
         lambda: kernel_value(GREEN, "x", 0.5),
-    ], ids=["kernel-value", "kernel-value-array", "second-associated", "gaussian-width",
-            "gaussian-width-string", "second-associated-string", "kernel-value-string"])
+        # a complex array, which a cast would make real with only a warning
+        lambda: kernel_value(GREEN, np.array([0.1 + 1j]), 0.5),
+    ], ids=["kernel-value", "kernel-value-array", "second-associated",
+            "second-associated-tabulated", "gaussian-width", "gaussian-width-string",
+            "second-associated-string", "kernel-value-string", "kernel-value-complex"])
     def test_non_finite_argument_rejected(self, call):
         with pytest.raises(ValidationError):
             call()
@@ -167,6 +174,8 @@ class TestDiscretize:
         ([[1.0, 0.5], [0.5, 1.0]], {"a": 0.2}),
         ([[1.0, "y"], [0.5, 1.0]], None),
         ([[1.0, [0.5]], [0.5, 1.0]], None),
+        # a cast to float would drop the imaginary part with only a warning
+        ([[1.0, 0.5], [0.5, 1.0]], np.array([0.2 + 1j, 0.5])),
     ])
     def test_non_numeric_table_is_an_input_error(self, values, nodes):
         with pytest.raises(ValidationError, match="must be real numbers"):

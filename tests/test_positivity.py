@@ -117,6 +117,17 @@ class TestIsTotallyNonnegative:
         assert w.value == c.min() == c[sets.index(w.rows), sets.index(w.cols)]
         assert all(compound_matrix(m, i).min() >= 0.0 for i in range(1, j))
 
+    @pytest.mark.parametrize("budget", ["x", None, True, -1, 2.5])
+    def test_budget_not_a_nonnegative_integer_rejected(self, budget):
+        # checked on every call, including the sampled route and the
+        # contiguous route of the order-2 check, which never read it
+        with pytest.raises(ValidationError, match="^budget must be an integer >= 0"):
+            is_totally_nonnegative(np.ones((3, 3)), 2, budget=budget)
+        with pytest.raises(ValidationError, match="^budget must be an integer >= 0"):
+            is_totally_nonnegative(np.ones((3, 3)), 2, budget=budget, sample=True)
+        with pytest.raises(ValidationError, match="^budget must be an integer >= 0"):
+            is_two_totally_nonnegative(np.eye(5) + np.eye(5, k=1), budget=budget)
+
     @pytest.mark.parametrize("seed", [-1, True, 1.5])
     def test_seed_not_a_nonnegative_integer_rejected(self, seed):
         # checked on the exhaustive routes too, where the seed is not used
