@@ -113,9 +113,11 @@ def cmd_compound(args):
 
 def cmd_tn_check(args):
     m = _load_matrix(args.input)
+    if args.samples is not None and not args.sample:
+        raise ValidationError("--samples sets the size of a sampled check (--sample)")
     cert = positivity.is_totally_nonnegative(
         m, args.order, tol=args.tol, sample=args.sample,
-        samples=args.samples, seed=args.seed,
+        samples=200 if args.samples is None else args.samples, seed=args.seed,
     )
     code = EXIT_OK if cert.verdict else EXIT_VERDICT
     return code, cert, lambda: _lines(_certificate_lines("tn_check", cert))
@@ -124,11 +126,12 @@ def cmd_tn_check(args):
 def cmd_kernel(args):
     if args.name:
         spec = kernel.builtin_kernel(args.name, args.param)
-    elif args.param is not None:
-        raise ValidationError("--param applies to a builtin kernel (--name), not to --file")
+    elif args.param is not None or args.rule is not None:
+        # a tabulated kernel has no width, and its weights come from its nodes
+        raise ValidationError("--param and --rule need a builtin kernel (--name), not --file")
     else:
         spec = kernel.load_kernel(args.file)
-    grid = kernel.discretize(spec, args.grid, rule=args.rule)
+    grid = kernel.discretize(spec, args.grid, rule=args.rule or "midpoint")
     cert = kernel.kernel_tn_check(
         spec,
         sample_nodes=args.grid,
@@ -215,8 +218,9 @@ def _seed(text):
     return value
 
 
-def _add_common(p, seed=True):
-    p.add_argument("--tol", type=float, default=spectra.DEFAULT_TOL, help="relative tolerance")
+def _add_common(p, seed=True, tol=True):
+    if tol:
+        p.add_argument("--tol", type=float, default=spectra.DEFAULT_TOL, help="relative tolerance")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
     if seed:
@@ -241,14 +245,14 @@ def build_parser():
     p.add_argument("input")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--force", action="store_true", help="override the size cap")
-    _add_common(p, seed=False)
+    _add_common(p, seed=False, tol=False)
     p.set_defaults(func=cmd_compound)
 
     p = sub.add_parser("tn-check", help="total-nonnegativity certificate")
     p.add_argument("input")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--sample", action="store_true", help="sampled mode")
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=int, help="sampled minors (default 200)")
     _add_common(p)
     p.set_defaults(func=cmd_tn_check)
 
@@ -258,7 +262,7 @@ def build_parser():
     src.add_argument("--file", help="tabulated kernel (CSV table or JSON)")
     p.add_argument("--param", type=float, default=None, help="gaussian width")
     p.add_argument("--grid", type=int, required=True)
-    p.add_argument("--rule", choices=("midpoint", "trapezoid"), default="midpoint")
+    p.add_argument("--rule", choices=("midpoint", "trapezoid"), help="default midpoint")
     p.add_argument("--order", type=int, default=2)
     p.add_argument("--trials", type=int, default=500)
     _add_common(p)
@@ -266,9 +270,12 @@ def build_parser():
 
     p = sub.add_parser("generate", help="random totally nonnegative or oscillatory matrix")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--factors", type=int, default=20)
-    p.add_argument("--oscillatory", action="store_true")
-    _add_common(p)
+    kind = p.add_mutually_exclusive_group()
+    # a string default goes through type=int only when the flag is absent, so
+    # an explicit "--factors 20" still counts as given and conflicts
+    kind.add_argument("--factors", type=int, default="20")
+    kind.add_argument("--oscillatory", action="store_true")
+    _add_common(p, tol=False)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("verify", help="batch spectrum-identity verification")

@@ -290,7 +290,7 @@ def kernel_tn_check(spec, sample_nodes, order, trials, seed, tol=DEFAULT_TOL):
     table = _kernel_table(spec, grid, grid)
     rngs = (np.random.default_rng(np.random.SeedSequence(entropy=(seed, t)))
             for t in range(trials))
-    return _sample_minors(table, order, rngs, tol)
+    return _sample_minors(table, 1, order, rngs, tol)
 
 
 def exterior_grid(grid, force=False):

@@ -8,7 +8,7 @@ scaled copies of the same matrix.
 
 from dataclasses import dataclass
 from itertools import repeat
-from math import comb
+from math import comb, frexp, ldexp
 from typing import Optional
 
 import numpy as np
@@ -94,19 +94,19 @@ def _order_sweep(m, j, thresh):
     return None, evaluated
 
 
-def _sample_minors(table, order, rngs, tol):
-    """Sampled certificate of a square table up to minor order ``order``.
+def _sample_minors(table, first, order, rngs, tol):
+    """Sampled certificate of a square table on minor orders first..order.
 
-    Each generator in ``rngs`` draws one minor: an order j in 1..order, then
-    increasing row and column sets of length j. The certificate keeps the
-    most negative minor below its threshold as the witness.
+    Each generator in ``rngs`` draws one minor: an order j in first..order,
+    then increasing row and column sets of length j. The certificate keeps
+    the most negative minor below its threshold as the witness.
     """
     count = table.shape[0]
     amax = float(np.abs(table).max())
     worst = None
     evaluated = 0
     for rng in rngs:
-        j = int(rng.integers(1, order + 1))
+        j = int(rng.integers(first, order + 1))
         thresh = _threshold(amax, j, tol)
         rows = tuple(sorted(rng.choice(count, size=j, replace=False).tolist()))
         cols = tuple(sorted(rng.choice(count, size=j, replace=False).tolist()))
@@ -114,13 +114,7 @@ def _sample_minors(table, order, rngs, tol):
         evaluated += 1
         if val < thresh and (worst is None or val < worst.value):
             worst = MinorWitness(rows=rows, cols=cols, value=val)
-    return TNCertificate(
-        order_checked=order,
-        verdict=worst is None,
-        witness=worst,
-        minors_evaluated=evaluated,
-        mode="sampled",
-    )
+    return TNCertificate(order, worst is None, worst, evaluated, "sampled")
 
 
 def is_totally_nonnegative(m, k, tol=DEFAULT_TOL, budget=MINOR_BUDGET, sample=False,
@@ -159,7 +153,7 @@ def is_totally_nonnegative(m, k, tol=DEFAULT_TOL, budget=MINOR_BUDGET, sample=Fa
     seed = _check_int(seed, "seed", 0)
     if sample:
         samples = _check_int(samples, "samples", 1)
-        return _sample_minors(m, k, repeat(np.random.default_rng(seed), samples), tol)
+        return _sample_minors(m, 1, k, repeat(np.random.default_rng(seed), samples), tol)
 
     estimate = _estimated_minors(n, k)
     if estimate > budget:
@@ -178,48 +172,53 @@ def is_totally_nonnegative(m, k, tol=DEFAULT_TOL, budget=MINOR_BUDGET, sample=Fa
     return TNCertificate(k, witness is None, witness, total, "exhaustive")
 
 
-def _contiguous_order_two(m, amax, thresh, tol):
+def _contiguous_order_two(m, amax, tol):
     """Order-2 certificate from the (n-1)^2 contiguous 2x2 minors, or None
     when they do not decide.
 
-    A contiguous minor below ``thresh`` is a witness. For a strictly positive
-    matrix the contiguous cross-ratios r = a d / (b c) bound every other 2x2
-    minor (Karlin, Total Positivity, 1968): for i < k and j < l the ratio
-    m[i,j] m[k,l] / (m[i,l] m[k,j]) is the product of the r over the cells of
-    [i, k) x [j, l), and prod (1 - e) >= 1 - sum e for e in [0, 1], so with
-    S = sum max(0, 1 - r)
+    With 2^e the power of two that puts amax * 2^-e in [0.5, 1), each cell
+    [[a, b], [c, d]] gives bc = (b 2^-e) c and D = (a 2^-e) d - bc. Both
+    scalings are exact, so D is 2^-e times the contiguous minor wherever
+    that minor's products are normal, and the scan decides a positive
+    multiple of ``m`` by a power of two as it decides ``m``. A cell with D
+    below 2^-e * (-tol * amax^2) is a witness, reported as the correctly
+    rounded minor D * 2^e, which equals ``minor(m, rows, cols)`` wherever
+    that is normal.
+
+    For a strictly positive matrix the contiguous cross-ratios r = a d / (b c)
+    bound every other 2x2 minor (Karlin, Total Positivity, 1968): for i < k
+    and j < l the ratio m[i,j] m[k,l] / (m[i,l] m[k,j]) is the product of the
+    r over the cells of [i, k) x [j, l), and prod (1 - x) >= 1 - sum x for
+    x in [0, 1], so with S = sum max(0, 1 - r)
 
         minor >= -S * m[i,l] * m[k,j] >= -S * amax^2,
 
-    and S <= tol certifies every minor. Only cells whose contiguous minor is
-    not positive enter S (a zero may be an underflow): a positive minor means
-    r >= 1 up to rounding, a zero term. Leaving those cells out can only
-    lower S by rounding, so at the margin a certificate can only move from
-    undecided to certified. The ratios are taken on m / amax, so a
-    power-of-two scaling leaves them exact and the products stay clear of
-    underflow. Zeros, a non-finite ratio or S > tol leave it undecided.
+    and S <= tol certifies every minor. The deficit 1 - r is -D / bc, with
+    the factor 2^-e on both sides, so
+
+        S = sum max(0, -D) / bc,
+
+    formed in place on D. Zeros, or an S that is not at most tol (a NaN
+    from a product that underflowed to zero included), leave it undecided.
     """
-    n = m.shape[0]
-    count = (n - 1) ** 2
-    cont = m[:-1, :-1] * m[1:, 1:]
-    cont -= m[:-1, 1:] * m[1:, :-1]
-    i, j = map(int, np.unravel_index(int(np.argmin(cont)), cont.shape))
-    low = float(cont[i, j])
-    if low < thresh:
-        witness = MinorWitness((i, i + 1), (j, j + 1), low)
-        return TNCertificate(2, False, witness, count, "exhaustive")
+    frac, e = frexp(amax)
+    bc = np.ldexp(m[:-1, 1:], -e)
+    bc *= m[1:, :-1]
+    delta = np.ldexp(m[:-1, :-1], -e)
+    delta *= m[1:, 1:]
+    delta -= bc
+    i, j = map(int, np.unravel_index(int(np.argmin(delta)), delta.shape))
+    if delta[i, j] < ldexp(-tol * frac * frac, e):
+        witness = MinorWitness((i, i + 1), (j, j + 1), ldexp(float(delta[i, j]), e))
+        return TNCertificate(2, False, witness, delta.size, "exhaustive")
     if float(m.min()) <= 0.0:
         return None
-    cells = cont <= 0.0
-    a, d = m[:-1, :-1][cells] / amax, m[1:, 1:][cells] / amax
-    b, c = m[:-1, 1:][cells] / amax, m[1:, :-1][cells] / amax
+    np.minimum(delta, 0.0, out=delta)
     with np.errstate(all="ignore"):
-        ratio = (a * d) / (b * c)
-    if not np.all(np.isfinite(ratio)):
+        np.divide(delta, bc, out=delta)
+    if not -float(delta.sum()) <= tol:
         return None
-    if float(np.maximum(0.0, 1.0 - ratio).sum()) > tol:
-        return None
-    return TNCertificate(2, True, None, count, "exhaustive")
+    return TNCertificate(2, True, None, delta.size, "exhaustive")
 
 
 def is_two_totally_nonnegative(m, tol=DEFAULT_TOL, budget=MINOR_BUDGET,
@@ -229,13 +228,18 @@ def is_two_totally_nonnegative(m, tol=DEFAULT_TOL, budget=MINOR_BUDGET,
     Returns a pair of certificates: entrywise nonnegativity of the matrix
     itself, and nonnegativity of all its 2x2 minors (the entries of the
     exterior square). The order-2 check first scans the contiguous 2x2
-    minors, which decide it at every n when one of them is a violation or
-    when the matrix is strictly positive with cross-ratios inside ``tol``
-    (see ``_contiguous_order_two``). Only input that scan leaves undecided
-    (zeros, or a contiguous minor in the slack band) is swept exhaustively
-    under the minor budget, and above the budget sampled with ``samples``
-    minors from ``seed``; the certificate's mode says which. ``budget``,
-    ``samples`` and ``seed`` are checked on every call.
+    minors D, scaled by the exact power of two 2^-e that puts max|m| 2^-e
+    in [0.5, 1), so a power-of-two multiple of ``m`` gets the same verdict
+    and witness position. They decide it at every n when one of them is a
+    violation or when the matrix is strictly positive with Karlin's deficit
+    S = sum max(0, -D) / bc inside ``tol``, where bc is the scaled
+    off-diagonal product of each cell (see ``_contiguous_order_two``). Only
+    input that scan leaves undecided (zeros, or a contiguous minor in the
+    slack band) is swept exhaustively under the minor budget, and above the
+    budget sampled with ``samples`` 2x2 minors from ``seed``; the
+    certificate's mode says which. The sweep and the sampler read unscaled
+    minors. ``budget``, ``samples`` and ``seed`` are checked on every
+    call.
     """
     m = as_dense_matrix(m)
     _check_tol(tol)
@@ -252,12 +256,11 @@ def is_two_totally_nonnegative(m, tol=DEFAULT_TOL, budget=MINOR_BUDGET,
     cert1 = TNCertificate(1, neg is None, witness, n * n, "exhaustive")
 
     thresh = _threshold(amax, 2, tol)
-    cert2 = _contiguous_order_two(m, amax, thresh, tol)
+    cert2 = _contiguous_order_two(m, amax, tol)
     if cert2 is not None:
         return cert1, cert2
     if comb(n, 2) ** 2 > budget:
-        return cert1, is_totally_nonnegative(m, 2, tol, sample=True, samples=samples,
-                                             seed=seed)
+        return cert1, _sample_minors(m, 2, 2, repeat(np.random.default_rng(seed), samples), tol)
     witness, evaluated = _order_sweep(m, 2, thresh)
     return cert1, TNCertificate(2, witness is None, witness, evaluated, "exhaustive")
 

@@ -64,11 +64,13 @@ def as_dense_matrix(a):
 def _real_array(a, what):
     """``a`` as a new float64 ndarray. A complex dtype raises ValidationError
     naming ``what`` rather than losing its imaginary parts to a cast, as does
-    anything numpy cannot read as reals."""
+    anything numpy cannot read as reals. Strings are converted as Python
+    strings, so a bad one is named as Python names it ('y', not numpy's
+    np.str_('y'))."""
     try:
         x = np.asarray(a)
         if x.dtype.kind != "c":
-            return np.array(x, dtype=float)
+            return np.array(x.astype(object) if x.dtype.kind == "U" else x, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{what} must be real numbers: {exc}") from None
     raise ValidationError(f"{what} must be real numbers: got dtype {x.dtype}")

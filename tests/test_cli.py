@@ -392,10 +392,63 @@ def test_negative_seed_exit_2(capsys, diag_csv, argv):
 
 @pytest.mark.parametrize("argv", [
     ("analyze", "m.csv"),
-    ("compound", "m.csv", "--order", "2"),
+    ("tn-check", "m.csv", "--order", "2"),
 ])
 def test_tol_defaults_to_the_library_default(argv):
     assert build_parser().parse_args(argv).tol == DEFAULT_TOL
+
+
+@pytest.mark.parametrize("argv, message", [
+    # neither command has a tolerance
+    (("compound", "{diag}", "--order", "2", "--tol", "5"), "unrecognized arguments: --tol"),
+    (("generate", "--n", "4", "--tol", "5"), "unrecognized arguments: --tol"),
+    # random_oscillatory takes no factors; 20 is the default, given here
+    (("generate", "--n", "4", "--factors", "20", "--oscillatory"), "not allowed with"),
+    (("generate", "--n", "4", "--oscillatory", "--factors", "3"), "not allowed with"),
+], ids=["compound-tol", "generate-tol", "factors-oscillatory", "oscillatory-factors"])
+def test_flag_without_effect_refused_by_the_parser(capsys, diag_csv, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(diag=diag_csv) for a in argv])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    # a tabulated kernel's quadrature weights come from its nodes
+    (("kernel", "--file", "{table}", "--grid", "2", "--rule", "trapezoid"), "--rule"),
+    (("kernel", "--file", "{table}", "--grid", "2", "--rule", "midpoint"), "--rule"),
+    (("tn-check", "{diag}", "--order", "2", "--samples", "5"), "--samples"),
+    (("tn-check", "{diag}", "--order", "2", "--samples", "0"), "--samples"),
+], ids=["file-trapezoid", "file-midpoint", "samples-5", "samples-0"])
+def test_setting_without_effect_exit_2(capsys, tmp_path, diag_csv, argv, flag):
+    table = tmp_path / "const.csv"
+    table.write_text("1.0,0.5\n0.5,1.0\n")
+    code, out, err = run(capsys, *[a.format(diag=diag_csv, table=table) for a in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and flag in err
+
+
+def test_default_factors_and_rule_still_apply(capsys, tmp_path):
+    code, out, _ = run(capsys, "generate", "--n", "4", "--seed", "3", "--format", "json")
+    assert code == 0
+    np.testing.assert_array_equal(json.loads(out)["data"], random_tn(4, 3, factors=20))
+    argv = ("kernel", "--name", "gaussian", "--grid", "6", "--trials", "5", "--format", "json")
+    assert run(capsys, *argv) == run(capsys, *argv, "--rule", "midpoint")
+    assert run(capsys, *argv) != run(capsys, *argv, "--rule", "trapezoid")
+
+
+@pytest.mark.parametrize("name, doc, what", [
+    ("m.json", {"data": [[1.0, "y"], [0.5, 1.0]]}, "matrix entries"),
+    ("k.json", {"nodes": [0.2, "y"], "values": [[1.0, 0.5], [0.5, 1.0]]}, "kernel nodes"),
+])
+def test_string_entry_named_as_python_names_it(capsys, tmp_path, name, doc, what):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    argv = ("analyze", str(path)) if name == "m.json" else ("kernel", "--file", str(path),
+                                                             "--grid", "2")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {what} must be real numbers: could not convert string to float: 'y'\n"
 
 
 class TestDeterminism:

@@ -34,6 +34,7 @@ from wedgespec.gk import (
     _to_json,
 )
 
+from .test_positivity import planted_green
 from .test_spectra import _count_solvers
 
 THREE_CYCLE = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
@@ -167,6 +168,16 @@ class TestAnalyzeExamples:
         assert (cert.mode, cert.minors_evaluated) == ("exhaustive", 99 ** 2)
         assert (cert.witness.rows, cert.witness.cols) == ((50, 51), (50, 51))
         assert cert.witness.value == pytest.approx(-5e-8, rel=1e-6)
+
+    def test_planted_minor_found_below_the_normal_range(self):
+        # at 2^-530 the planted minor, about -5e-8 * 2^-1060, underflows to
+        # -0.0, and so would every product of two entries; the scan is made
+        # on entries scaled by an exact power of two
+        r = analyze(2.0 ** -530 * planted_green())
+        assert r.classification == CLASS_VIOLATED
+        cert = r.hypothesis_certificates[1]
+        assert (cert.verdict, cert.mode, cert.minors_evaluated) == (False, "exhaustive", 99 ** 2)
+        assert (cert.witness.rows, cert.witness.cols) == ((50, 51), (50, 51))
 
 
 class TestAnalyzeProperties:

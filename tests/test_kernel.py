@@ -75,6 +75,16 @@ class TestBuiltins:
         with pytest.raises(ValidationError):
             call()
 
+    @pytest.mark.parametrize("call", [
+        lambda: kernel_value(GREEN, [0.5, "y"], 0.5),
+        lambda: second_associated(GREEN, 0.1, "y", 0.2, 0.3),
+        lambda: builtin_kernel("gaussian", "y"),
+    ], ids=["kernel-value", "second-associated", "gaussian-width"])
+    def test_string_argument_named_as_python_names_it(self, call):
+        # not numpy's np.str_('y')
+        with pytest.raises(ValidationError, match=r"could not convert string to float: 'y'$"):
+            call()
+
     def test_param_only_for_gaussian(self):
         with pytest.raises(ValidationError):
             builtin_kernel("green_string", 2.0)

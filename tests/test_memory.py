@@ -15,9 +15,9 @@ from wedgespec.positivity import is_two_totally_nonnegative
 N = 300
 
 
-@pytest.fixture(scope="module")
-def grid():
-    return discretize(builtin_kernel("gaussian"), N).discretized
+@pytest.fixture(scope="module", params=["green_string", "gaussian", "cauchy"])
+def grid(request):
+    return discretize(builtin_kernel(request.param), N).discretized
 
 
 def _peak_squares(fn, m):
@@ -38,6 +38,6 @@ def test_analyze_holds_at_most_two_and_a_half_squares(grid):
 
 
 def test_order_two_certificate_holds_at_most_three_squares(grid):
-    # the contiguous minors take one square and one product temporary; the
-    # cross-ratios are formed only on cells with a minor that is not positive
+    # the scan holds two squares, the scaled off-diagonal products bc and the
+    # contiguous minors D, and forms the cross-ratio deficits in place on D
     assert _peak_squares(is_two_totally_nonnegative, grid) <= 3.0

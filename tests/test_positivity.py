@@ -1,7 +1,8 @@
 """Total-nonnegativity certificates, sign counting, and matrix generators."""
 
+import sys
 from itertools import combinations
-from math import comb
+from math import comb, ldexp
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from wedgespec import (
     random_tn,
     sign_changes,
 )
+from wedgespec import positivity
+from wedgespec.compound import _det_stack
 from wedgespec.positivity import MinorWitness, _neville_tn, _order_sweep
 from tests.test_compound import det_laplace
 
@@ -182,6 +185,20 @@ class TestTwoTotallyNonnegative:
         assert c2.mode == "sampled"
         assert c2.minors_evaluated == 200
 
+    def test_sampled_route_draws_only_two_by_two_minors(self, monkeypatch):
+        # the order-1 certificate is exhaustive, so no draw goes to an entry
+        orders = []
+
+        def det_stack(sub):
+            orders.append(sub.shape[-1])
+            return _det_stack(sub)
+
+        monkeypatch.setattr(positivity, "_det_stack", det_stack)
+        m = np.random.default_rng(0).uniform(0.5, 1.0, (80, 80))
+        m[1::2] = 0.0
+        _, cert = is_two_totally_nonnegative(m, budget=10_000, samples=300, seed=1)
+        assert cert.mode == "sampled" and orders == [2] * 300
+
     def test_contiguous_witness_needs_no_budget(self):
         m = np.random.default_rng(0).uniform(0.5, 1.0, (80, 80))
         _, cert = is_two_totally_nonnegative(m, budget=10_000, samples=200, seed=1)
@@ -263,6 +280,38 @@ class TestOrderTwoOracle:
         assert w.value == minor(planted, w.rows, w.cols) < 0
 
 
+def planted_green():
+    """green_string n=100 with its (50, 51) contiguous minor lowered by 5e-8."""
+    m = discretize(builtin_kernel("green_string"), 100).discretized.copy()
+    m[51, 51] = (m[50, 51] * m[51, 50] - 5e-8) / m[50, 50]
+    return m
+
+
+class TestPowerOfTwoScaling:
+    """The contiguous scan decides 2^k m as it decides m."""
+
+    BASES = {"green": discretize(builtin_kernel("green_string"), 100).discretized,
+             "planted": planted_green()}
+
+    @pytest.mark.parametrize("k", [-600, -560, -530, -520, 0, 400, 500])
+    @pytest.mark.parametrize("name", ["green", "planted"])
+    def test_certificate_is_scale_equivariant(self, name, k):
+        m = self.BASES[name]
+        _, ref = is_two_totally_nonnegative(m)
+        _, cert = is_two_totally_nonnegative(2.0 ** k * m)
+        assert (cert.verdict, cert.mode, cert.minors_evaluated) == (
+            ref.verdict, "exhaustive", 99 ** 2)
+        assert ref.verdict == (name == "green")
+        if name == "planted":
+            w, w0 = cert.witness, ref.witness
+            assert (w.rows, w.cols) == (w0.rows, w0.cols) == ((50, 51), (50, 51))
+            # the correctly rounded minor, bit for bit where it is normal
+            value = ldexp(w0.value, 2 * k)
+            assert w.value == value
+            if abs(value) >= sys.float_info.min:
+                assert w.value == minor(2.0 ** k * m, w.rows, w.cols)
+
+
 class TestPinnedDrawStreams:
     """Exact sampled certificates: any change to a draw stream fails here."""
 
@@ -272,12 +321,14 @@ class TestPinnedDrawStreams:
                                      300, "sampled")
 
     def test_order_two_above_budget(self):
-        # odd rows zeroed, so the contiguous scan leaves it to sampling
+        # odd rows zeroed, so the contiguous scan leaves it to sampling; every
+        # draw is a 2x2 minor, since the order-1 certificate is exhaustive
         m = np.random.default_rng(0).uniform(0.5, 1.0, (80, 80))
         m[1::2] = 0.0
         _, cert = is_two_totally_nonnegative(m, budget=10_000, seed=1)
-        witness = MinorWitness((16, 54), (48, 56), -0.6301252302753839)
+        witness = MinorWitness((60, 66), (7, 46), -0.5806549814490426)
         assert cert == TNCertificate(2, False, witness, 2000, "sampled")
+        assert len(witness.rows) == len(witness.cols) == 2
         assert witness.value == minor(m, witness.rows, witness.cols)
 
 
