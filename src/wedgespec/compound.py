@@ -1,9 +1,10 @@
 """Minors, compound matrices, Kronecker squares, and exterior squares.
 
 The exterior square acts on the antisymmetric pair basis {e_i ^ e_j : i < j}
-in lexicographic order, with no normalization, so its matrix coincides with
-the second compound matrix entry for entry. Both constructions are kept as
-separate code paths and cross-checked in the tests.
+in lexicographic order, with no normalization, so its matrix is the second
+compound matrix, and both are filled by the same minor enumeration. The
+tests check it against entrywise minors, against ``exterior_apply`` (which
+forms m X m^T) and against the wedge product of vectors.
 """
 
 from itertools import combinations
@@ -12,12 +13,10 @@ from math import comb
 import numpy as np
 
 from .errors import ResourceLimitError, ValidationError
-from .spectra import _check_int, as_dense_matrix
+from .spectra import _check_int, _finite_vector, as_dense_matrix
 
 # Built matrices above this many entries are refused unless force=True.
 MAX_ENTRIES = 1_000_000
-
-_CHUNK_ROWS = 512
 
 # Order-j minors are gathered about this many j x j submatrices at a time.
 _CHUNK = 4096
@@ -132,6 +131,15 @@ def _check_cap(entries, force, what):
         )
 
 
+def _compound(m, j):
+    """The j-th compound of a validated matrix, one block of row sets at a time."""
+    size = comb(m.shape[0], j)
+    out = np.empty((size, size))
+    for a, _, dets in _minor_blocks(m, j):
+        out[a : a + len(dets)] = dets
+    return out
+
+
 def compound_matrix(m, j, force=False):
     """The j-th compound: all order-j minors on lexicographic index sets.
 
@@ -142,12 +150,8 @@ def compound_matrix(m, j, force=False):
     m = as_dense_matrix(m)
     n = m.shape[0]
     j = _check_int(j, "compound order j", 1, n)
-    size = comb(n, j)
-    _check_cap(size * size, force, f"compound_matrix(n={n}, j={j})")
-    out = np.empty((size, size))
-    for a, _, dets in _minor_blocks(m, j):
-        out[a : a + len(dets)] = dets
-    return out
+    _check_cap(comb(n, j) ** 2, force, f"compound_matrix(n={n}, j={j})")
+    return _compound(m, j)
 
 
 def tensor_square(m, force=False):
@@ -159,26 +163,17 @@ def tensor_square(m, force=False):
 
 
 def exterior_square(m, force=False):
-    """Matrix of the wedge action on the pair basis, entry by entry.
+    """Matrix of the wedge action on the pair basis: the second compound.
 
-    Entry ((i, j), (k, l)) is m[i, k] m[j, l] - m[i, l] m[j, k], built by
-    direct gathers rather than through the minor machinery.
+    Entry ((i, j), (k, l)) is the 2x2 minor m[i, k] m[j, l] - m[i, l] m[j, k]
+    on rows (i, j) and columns (k, l), with pairs in lexicographic order.
     """
     m = as_dense_matrix(m)
     n = m.shape[0]
     if n < 2:
         raise ValidationError("exterior square needs dimension n >= 2")
-    basis = PairBasis(n)
-    p, q = basis.arrays()
-    size = basis.size
-    _check_cap(size * size, force, f"exterior_square(n={n})")
-    out = np.empty((size, size))
-    for a in range(0, size, _CHUNK_ROWS):
-        sl = slice(a, min(a + _CHUNK_ROWS, size))
-        out[sl] = m[p[sl, None], p[None, :]] * m[q[sl, None], q[None, :]] - m[
-            p[sl, None], q[None, :]
-        ] * m[q[sl, None], p[None, :]]
-    return out
+    _check_cap(comb(n, 2) ** 2, force, f"exterior_square(n={n})")
+    return _compound(m, 2)
 
 
 def wedge_vector(x, y):
@@ -187,8 +182,8 @@ def wedge_vector(x, y):
     Component (i, j) is x[i] y[j] - x[j] y[i], the 2x2 minor of the two
     coordinate functions at positions i < j.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
+    x = _finite_vector(x, "wedge_vector")
+    y = _finite_vector(y, "wedge_vector")
     if x.shape != y.shape:
         raise ValidationError(f"wedge_vector needs equal lengths, got {x.size} and {y.size}")
     if x.size < 2:
@@ -209,7 +204,7 @@ def exterior_apply(m, w):
     n = m.shape[0]
     if n < 2:
         raise ValidationError("exterior_apply needs dimension n >= 2")
-    w = np.asarray(w, dtype=float).ravel()
+    w = _finite_vector(w, "exterior_apply")
     basis = PairBasis(n)
     if w.size != basis.size:
         raise ValidationError(

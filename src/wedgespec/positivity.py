@@ -6,7 +6,7 @@ scale like products of j entries; an absolute tolerance would misclassify
 scaled copies of the same matrix.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import repeat
 from math import comb, frexp, ldexp
 from typing import Optional
@@ -15,7 +15,7 @@ import numpy as np
 
 from .compound import _det_stack, _minor_blocks
 from .errors import GenerationError, ResourceLimitError, ValidationError, ZeroVectorError
-from .spectra import (DEFAULT_TOL, _check_int, _check_tol, _negative_entry, _real_array,
+from .spectra import (DEFAULT_TOL, _check_int, _check_tol, _finite_vector, _negative_entry,
                       as_dense_matrix)
 
 # Exhaustive minor enumeration is refused above this many determinants.
@@ -237,9 +237,10 @@ def is_two_totally_nonnegative(m, tol=DEFAULT_TOL, budget=MINOR_BUDGET,
     input that scan leaves undecided (zeros, or a contiguous minor in the
     slack band) is swept exhaustively under the minor budget, and above the
     budget sampled with ``samples`` 2x2 minors from ``seed``; the
-    certificate's mode says which. The sweep and the sampler read unscaled
-    minors. ``budget``, ``samples`` and ``seed`` are checked on every
-    call.
+    certificate's mode says which. The sweep and the sampler read the minors
+    of m 2^-e, the same exact scaling, and report a witness as the correctly
+    rounded minor of ``m``. ``budget``, ``samples`` and ``seed`` are checked
+    on every call.
     """
     m = as_dense_matrix(m)
     _check_tol(tol)
@@ -255,14 +256,21 @@ def is_two_totally_nonnegative(m, tol=DEFAULT_TOL, budget=MINOR_BUDGET,
     witness = None if neg is None else MinorWitness((neg[0],), (neg[1],), neg[2])
     cert1 = TNCertificate(1, neg is None, witness, n * n, "exhaustive")
 
-    thresh = _threshold(amax, 2, tol)
+    _threshold(amax, 2, tol)  # refuses minors that overflow
     cert2 = _contiguous_order_two(m, amax, tol)
     if cert2 is not None:
         return cert1, cert2
+    frac, e = frexp(amax)
+    scaled = np.ldexp(m, -e)
     if comb(n, 2) ** 2 > budget:
-        return cert1, _sample_minors(m, 2, 2, repeat(np.random.default_rng(seed), samples), tol)
-    witness, evaluated = _order_sweep(m, 2, thresh)
-    return cert1, TNCertificate(2, witness is None, witness, evaluated, "exhaustive")
+        cert2 = _sample_minors(scaled, 2, 2, repeat(np.random.default_rng(seed), samples), tol)
+    else:
+        witness, evaluated = _order_sweep(scaled, 2, -tol * frac * frac)
+        cert2 = TNCertificate(2, witness is None, witness, evaluated, "exhaustive")
+    w = cert2.witness
+    if w is not None:
+        cert2 = replace(cert2, witness=replace(w, value=ldexp(w.value, 2 * e)))
+    return cert1, cert2
 
 
 def sign_changes(v, tol=DEFAULT_TOL):
@@ -275,11 +283,9 @@ def sign_changes(v, tol=DEFAULT_TOL):
     its imaginary parts would otherwise be dropped unseen.
     """
     _check_tol(tol)
-    x = _real_array(v, "sign_changes entries").ravel()
+    x = _finite_vector(v, "sign_changes")
     if x.size == 0:
         raise ValidationError("sign_changes needs a nonempty vector")
-    if not np.all(np.isfinite(x)):
-        raise ValidationError("sign_changes got NaN or Inf entries")
     amax = float(np.abs(x).max())
     survivors = x[np.abs(x) > tol * amax]
     if survivors.size == 0:

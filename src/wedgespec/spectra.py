@@ -76,6 +76,15 @@ def _real_array(a, what):
     raise ValidationError(f"{what} must be real numbers: got dtype {x.dtype}")
 
 
+def _finite_vector(v, name):
+    """``v`` read by ``_real_array`` and flattened; NaN or Inf entries raise
+    ValidationError naming the function ``name``."""
+    x = _real_array(v, f"{name} entries").ravel()
+    if not np.all(np.isfinite(x)):
+        raise ValidationError(f"{name} got NaN or Inf entries")
+    return x
+
+
 def _negative_entry(m, tol, amax):
     """The most negative entry of ``m`` as ``(i, j, value)`` when it is below
     -tol * amax, with amax = max|m|, else None.

@@ -107,6 +107,20 @@ class TestAnalyze:
         assert code == 0, err
         assert json.loads(out)["classification"] == "second_eigenvalue_found"
 
+    def test_complex_pair_text_and_json_parity(self, capsys, tmp_path):
+        # a weighted 3-cycle: its spectrum is three points on one circle
+        path = tmp_path / "cycle.csv"
+        path.write_text("0,1,0\n0,0,2\n3,0,0\n")
+        code, text_out, _ = run(capsys, "analyze", str(path))
+        assert code == 0
+        code, json_out, _ = run(capsys, "analyze", str(path), "--format", "json")
+        assert code == 0
+        doc = json.loads(json_out)
+        assert doc["classification"] == "complex_pair_on_circle"
+        a, b = (complex(z["re"], z["im"]) for z in doc["complex_pair"])
+        assert a.imag > 0 and b == a.conjugate()
+        assert f"complex_pair: {a!r} {b!r}\n" in text_out
+
     def test_text_and_json_numeric_parity(self, capsys, tridiag_csv):
         _, text_out, _ = run(capsys, "analyze", tridiag_csv)
         _, json_out, _ = run(capsys, "analyze", tridiag_csv, "--format", "json")

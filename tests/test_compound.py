@@ -184,12 +184,17 @@ class TestExteriorSquare:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_second_compound(self, seed):
+        # each entry is the 2x2 minor on its row pair and column pair, bit for
+        # bit, with both pairs placed by the lexicographic pair basis
         rng = np.random.default_rng(400 + seed)
         n = int(rng.integers(2, 8))
         m = rng.standard_normal((n, n))
-        np.testing.assert_allclose(
-            exterior_square(m), compound_matrix(m, 2), atol=1e-12
-        )
+        basis = PairBasis(n)
+        got = exterior_square(m)
+        assert got.shape == (basis.size, basis.size)
+        for k in range(basis.size):
+            for l in range(basis.size):
+                assert got[k, l] == minor(m, basis.pair_at(k), basis.pair_at(l))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_top_two_moduli_give_the_radius(self, seed):
@@ -240,6 +245,42 @@ class TestWedge:
         lhs = exterior_apply(a, w)
         rhs = exterior_square(a) @ w
         np.testing.assert_allclose(lhs, rhs, atol=1e-10 * max(1.0, np.abs(rhs).max()))
+
+
+NOT_REAL_PAIR_INPUT = {
+    "complex-array": np.array([1 + 5j, 2.0]),
+    "complex-list": [1 + 5j, 2.0],
+    "string": ["1.0", "y"],
+    "nan": [np.nan, 1.0],
+    "inf": [1.0, np.inf],
+}
+
+
+class TestRealFiniteInput:
+    """The wedge of vectors and the implicit wedge action read reals only: a
+    complex dtype is refused, not cast, as are strings and NaN or Inf."""
+
+    @pytest.mark.parametrize("bad", NOT_REAL_PAIR_INPUT.values(), ids=NOT_REAL_PAIR_INPUT)
+    @pytest.mark.parametrize("first", [True, False], ids=["x", "y"])
+    def test_wedge_vector_refuses(self, bad, first):
+        good = [1.0, 3.0]
+        with pytest.raises(ValidationError, match="wedge_vector"):
+            wedge_vector(bad, good) if first else wedge_vector(good, bad)
+
+    @pytest.mark.parametrize("bad", NOT_REAL_PAIR_INPUT.values(), ids=NOT_REAL_PAIR_INPUT)
+    def test_exterior_apply_refuses(self, bad):
+        # n = 3 has three pairs
+        w = np.append(np.asarray(bad), 1.0)
+        with pytest.raises(ValidationError, match="exterior_apply"):
+            exterior_apply(np.eye(3), w)
+
+    def test_messages(self):
+        with pytest.raises(ValidationError, match="must be real numbers: got dtype complex128"):
+            wedge_vector(NOT_REAL_PAIR_INPUT["complex-array"], [1.0, 3.0])
+        with pytest.raises(ValidationError, match="wedge_vector got NaN or Inf entries"):
+            wedge_vector(NOT_REAL_PAIR_INPUT["nan"], [1.0, 2.0])
+        with pytest.raises(ValidationError, match="exterior_apply got NaN or Inf entries"):
+            exterior_apply(np.eye(3), [1.0, np.inf, 0.0])
 
 
 class TestPairBasis:

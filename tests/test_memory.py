@@ -1,4 +1,5 @@
-"""Peak numpy memory of analyze and of the order-2 certificate.
+"""Peak numpy memory of analyze, of the order-2 certificate and of the
+exterior square.
 
 tracemalloc sees every buffer numpy allocates (not LAPACK's workspace), so
 the peak of one steady-state call counts the n x n temporaries a stage
@@ -9,7 +10,7 @@ import tracemalloc
 
 import pytest
 
-from wedgespec import analyze, builtin_kernel, discretize
+from wedgespec import analyze, builtin_kernel, discretize, exterior_square
 from wedgespec.positivity import is_two_totally_nonnegative
 
 N = 300
@@ -20,7 +21,7 @@ def grid(request):
     return discretize(builtin_kernel(request.param), N).discretized
 
 
-def _peak_squares(fn, m):
+def _peak_bytes(fn, m):
     fn(m)  # first-call costs stay out of the measurement
     tracemalloc.start()
     try:
@@ -28,7 +29,11 @@ def _peak_squares(fn, m):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak / (8 * N * N)
+    return peak
+
+
+def _peak_squares(fn, m):
+    return _peak_bytes(fn, m) / (8 * N * N)
 
 
 def test_analyze_holds_at_most_two_and_a_half_squares(grid):
@@ -41,3 +46,12 @@ def test_order_two_certificate_holds_at_most_three_squares(grid):
     # the scan holds two squares, the scaled off-diagonal products bc and the
     # contiguous minors D, and forms the cross-ratio deficits in place on D
     assert _peak_squares(is_two_totally_nonnegative, grid) <= 3.0
+
+
+def test_exterior_square_holds_little_beyond_its_output():
+    # the minors are formed a block of row pairs at a time, about 4096 2x2
+    # submatrices each, straight into the output
+    n = 40
+    m = discretize(builtin_kernel("green_string"), n).discretized
+    output = 8 * (n * (n - 1) // 2) ** 2
+    assert _peak_bytes(exterior_square, m) <= 1.5 * output

@@ -287,24 +287,39 @@ def planted_green():
     return m
 
 
+def zero_rows(n):
+    """uniform(0.5, 1) draw with its odd rows zeroed: the contiguous scan
+    leaves it to the exhaustive sweep (n = 30) or to sampling (n = 100)."""
+    m = np.random.default_rng(0).uniform(0.5, 1.0, (n, n))
+    m[1::2] = 0.0
+    return m
+
+
 class TestPowerOfTwoScaling:
-    """The contiguous scan decides 2^k m as it decides m."""
+    """The contiguous scan, the sweep and the sampler decide 2^k m as they
+    decide m."""
 
     BASES = {"green": discretize(builtin_kernel("green_string"), 100).discretized,
-             "planted": planted_green()}
+             "planted": planted_green(), "zero_rows_30": zero_rows(30),
+             "zero_rows_100": zero_rows(100)}
+    # verdict, mode, minors evaluated and witness position, at every k
+    EXPECTED = {"green": (True, "exhaustive", 99 ** 2, None),
+                "planted": (False, "exhaustive", 99 ** 2, ((50, 51), (50, 51))),
+                "zero_rows_30": (False, "exhaustive", 3915, ((0, 4), (2, 26))),
+                "zero_rows_100": (False, "sampled", 2000, ((66, 94), (66, 89)))}
 
     @pytest.mark.parametrize("k", [-600, -560, -530, -520, 0, 400, 500])
-    @pytest.mark.parametrize("name", ["green", "planted"])
+    @pytest.mark.parametrize("name", list(BASES))
     def test_certificate_is_scale_equivariant(self, name, k):
         m = self.BASES[name]
+        verdict, mode, evaluated, position = self.EXPECTED[name]
         _, ref = is_two_totally_nonnegative(m)
         _, cert = is_two_totally_nonnegative(2.0 ** k * m)
-        assert (cert.verdict, cert.mode, cert.minors_evaluated) == (
-            ref.verdict, "exhaustive", 99 ** 2)
-        assert ref.verdict == (name == "green")
-        if name == "planted":
+        for c in (ref, cert):
+            assert (c.verdict, c.mode, c.minors_evaluated) == (verdict, mode, evaluated)
+        if position is not None:
             w, w0 = cert.witness, ref.witness
-            assert (w.rows, w.cols) == (w0.rows, w0.cols) == ((50, 51), (50, 51))
+            assert (w.rows, w.cols) == (w0.rows, w0.cols) == position
             # the correctly rounded minor, bit for bit where it is normal
             value = ldexp(w0.value, 2 * k)
             assert w.value == value
