@@ -16,11 +16,14 @@ classification, it must equal lambda1 |lambda2| from the dense spectrum
 within ``residual_tol``. That spectrum comes first, from one n x n
 ``spectra.eigenvalues`` solve (the symmetric solver on exactly symmetric
 input, every kernel grid, and the general one otherwise), and its moduli
-set the iteration's column count. lambda1 comes from that solve, the same
-iteration checks it with |theta_1|, and its two leading Ritz vectors stand
-for e1 and e2 in the sign counts.
+plan the iteration: its column count, its first steps and its budget.
+lambda1 comes from that solve, the same iteration checks it with
+|theta_1|, and its two leading Ritz vectors stand for e1 and e2 in the
+sign counts.
 """
 
+import functools
+import math
 from dataclasses import dataclass, fields, is_dataclass
 from typing import Optional
 
@@ -99,6 +102,71 @@ class VerificationReport:
     leftovers: tuple  # (square-spectrum side, product side)
 
 
+# Cost of one step of spectra._ritz_iteration in microseconds, with one BLAS
+# thread: the product z = a q of an n x n matrix and p columns with the QR
+# of z (a plain step), and the Rayleigh-Ritz projection a full step adds
+# (q^T z, the p x p eig and the residual). Least-squares fits, in relative
+# error, to best-of-5 timings of both parts over n = 3..600 and p = 2..n.
+def _plain_us(n, p):
+    return 18.0 + 4.6e-5 * (2 * n * n * p + 4 * n * p * p)
+
+
+def _projection_us(p):
+    return 28.0 + 0.27 * p * p + 0.0016 * p ** 3
+
+
+def _wedge_plan(moduli):
+    """``(p, s)``: the column count of the wedge iteration on a matrix whose
+    dense spectrum has the moduli |lambda_1| >= ... >= |lambda_n|, n >= 2, and
+    the number of steps s(p) it is predicted to take.
+
+    On p < n columns the two leading Ritz values converge at the rate
+    r = |lambda_{p+1} / lambda_2| (Stewart, Numer. Math. 25, 1976), so they
+    reach the target t = ``_ITERATION_TARGET`` after about
+    s(p) = ceil(log t / log r) steps. A p with r >= 1 never gets there and is
+    passed over, as is every p < n when lambda_2 = 0. On p = n columns the
+    whole space is invariant at once, and s(n) = 1. p minimizes the predicted
+    cost of max(s, 2) + 1 plain steps and two projections (see
+    ``_plain_us``), the count of a run whose first s - 2 steps are plain.
+    That cost is at least its value at s = 2, which grows with p, so the scan
+    stops once that floor reaches the best cost found.
+    """
+    n = moduli.size
+    lambda2 = float(moduli[1])
+    best = (math.inf, n, 1)
+    for p in range(2, n + 1):
+        floor = 3.0 * _plain_us(n, p) + 2.0 * _projection_us(p)
+        if floor >= best[0]:
+            break
+        if p == n:
+            s = 1
+        elif float(moduli[p]) < lambda2:
+            r = float(moduli[p]) / lambda2
+            s = math.ceil(math.log(_ITERATION_TARGET) / math.log(r)) if r > 0.0 else 0
+        else:
+            continue
+        cost = (max(s, 2) + 1) * _plain_us(n, p) + 2.0 * _projection_us(p)
+        if cost < best[0]:
+            best = (cost, p, s)
+    return best[1], best[2]
+
+
+@functools.lru_cache(maxsize=32)
+def _start_basis(n, p):
+    """Read-only orthonormal basis of the span of the p columns u s^c,
+    c = 0..p-1, where u_i = 1 + frac(i * phi) lies in [1, 2) (phi the
+    golden-ratio conjugate) and s = cumsum(u) / sum(u) increases. This
+    positive Vandermonde matrix scaled by rows has every p x p minor
+    positive, and no column is constant or polynomial in i, so neither
+    constant row sums nor a polynomial invariant subspace of a matrix holds
+    the start span invariant."""
+    u = 1.0 + np.mod(np.arange(n) * _GOLDEN, 1.0)
+    s = np.cumsum(u) / u.sum()
+    q = np.linalg.qr(u[:, None] * s[:, None] ** np.arange(p))[0]
+    q.flags.writeable = False
+    return q
+
+
 def _wedge_radius(m, moduli):
     """Spectral radius of the exterior square of ``m``, lambda1 read from the
     same iteration, and the real parts of its two leading Ritz vectors as
@@ -106,37 +174,23 @@ def _wedge_radius(m, moduli):
     dense spectrum of ``m``.
 
     Subspace iteration with a Rayleigh-Ritz step on ``m``
-    (``spectra._ritz_iteration``) over p columns u s^c, c = 0..p-1, where
-    u_i = 1 + frac(i * phi) lies in [1, 2) (phi the golden-ratio conjugate)
-    and s = cumsum(u) / sum(u) increases. This positive Vandermonde matrix
-    scaled by rows has every p x p minor positive, and no column is
-    constant or polynomial in i, so neither constant row sums nor a
-    polynomial invariant subspace of ``m`` holds the start span invariant.
-    The two leading Ritz values converge to lambda1 and lambda2, real or
-    complex, at the rate |lambda_{p+1} / lambda_2| (Stewart, Numer. Math.
-    25, 1976); rho(wedge) = |theta_1 theta_2| and lambda1 = |theta_1|. They
-    and the two Ritz vectors are exact for a backward perturbation of ``m``
-    of t ||m||_F, t = ``_ITERATION_TARGET``, and the radius of 2^k m is
-    exactly 4^k times that of m.
-
-    p starts at max(2, min(6, n - 1)) and takes in every modulus above
-    max(|lambda_2| t^(2 / (100 n)), t lambda_1), so that the rate the dense
-    spectrum predicts reaches t within half of the 100 n step budget. On a
-    cyclic permutation, whose n moduli all tie, p = n: the whole space,
-    which is invariant at once. ConvergenceError is raised when the budget
-    runs out all the same, as on a Jordan block, whose Ritz values do not
-    settle.
+    (``spectra._ritz_iteration``) over the p columns of ``_start_basis``,
+    with p and the predicted step count s from ``_wedge_plan``. The first
+    s - 2 steps project nothing, since the moduli say the Ritz values cannot
+    have converged before; the budget is 4 s + 20 steps. The two leading
+    Ritz values converge to lambda1 and lambda2, real or complex;
+    rho(wedge) = |theta_1 theta_2| and lambda1 = |theta_1|. They and the two
+    Ritz vectors are exact for a backward perturbation of ``m`` of
+    t ||m||_F, t = ``_ITERATION_TARGET``, and the radius of 2^k m is
+    exactly 4^k times that of m. ConvergenceError is raised when the budget
+    runs out, as on a Jordan block, whose Ritz values do not settle.
     """
-    n = m.shape[0]
-    threshold = max(moduli[1] * _ITERATION_TARGET ** (2.0 / (100 * n)),
-                    _ITERATION_TARGET * moduli[0])
-    p = min(n, max(2, min(6, n - 1), int(np.count_nonzero(moduli > threshold))))
-    u = 1.0 + np.mod(np.arange(n) * _GOLDEN, 1.0)
-    s = np.cumsum(u) / u.sum()
-    ritz, x, ok = _ritz_iteration(m, u[:, None] * s[:, None] ** np.arange(p), 100 * n)
+    p, s = _wedge_plan(moduli)
+    budget = 4 * s + 20
+    ritz, x, ok = _ritz_iteration(m, _start_basis(m.shape[0], p), budget, max(s - 2, 0))
     if not ok:
         raise ConvergenceError(f"subspace iteration for the wedge radius did not "
-                               f"converge in {100 * n} steps on {p} columns")
+                               f"converge in {budget} steps on {p} columns")
     return float(ritz[0] * ritz[1]), float(ritz[0]), x.real
 
 
@@ -144,9 +198,10 @@ def analyze(m, tol=DEFAULT_TOL, circle_tol=DEFAULT_CIRCLE_TOL,
             residual_tol=DEFAULT_RESIDUAL_TOL, seed=0):
     """Full second-eigenvalue analysis of a real square matrix.
 
-    The one dense solve, ``eigenvalues``, comes first; its moduli size the
-    wedge iteration (see ``_wedge_radius``), which raises ConvergenceError
-    when its step budget runs out. lambda1 comes from the dense solve and
+    The one dense solve, ``eigenvalues``, comes first; its moduli plan the
+    wedge iteration, its column count, its projection-free first steps and
+    its step budget (see ``_wedge_radius``), which raises ConvergenceError
+    when that budget runs out. lambda1 comes from the dense solve and
     must agree within 1e-6 lambda1 with the iteration's reading of it. The
     sign changes of e1 and e2 are counted on the iteration's two leading
     Ritz vectors, which carry its backward error of 1e-13 ||m||_F; no dense

@@ -151,8 +151,17 @@ def _spectrum_order(v):
     return np.lexsort((np.angle(canon), -np.abs(canon)))
 
 
+def _frobenius(m):
+    """||m||_F as ||m / 2^e||_F 2^e, with 2^e <= max|m| < 2^(e+1): no square
+    overflows, so it is finite whenever ||m||_F is representable (inf
+    otherwise), and bit-identical to ``np.linalg.norm(m)`` in the normal
+    range, where dividing by 2^e is exact."""
+    s = 2.0 ** (math.frexp(float(np.abs(m).max()))[1] - 1)  # 0.5 for a zero m
+    return float(np.linalg.norm(m / s)) * s
+
+
 def _solver_failure(m, exc):
-    norm = float(np.linalg.norm(m))
+    norm = _frobenius(m)
     try:
         cond = float(np.linalg.cond(m))
     except np.linalg.LinAlgError:
@@ -221,11 +230,11 @@ def eigenpairs(m, tol=DEFAULT_TOL):
     w, v = _dense_solve(m, vectors=True)
     order = _spectrum_order(w)
     w, v = w[order], v[:, order]
-    scale = max(float(np.linalg.norm(m)), np.finfo(float).tiny)
-    residuals = np.linalg.norm(m @ v - v * w[None, :], axis=0)
-    worst = float(residuals.max())
-    if worst > tol * scale:
-        raise _solver_failure(m, f"residual {worst:.3e} exceeds {tol:g} * ||m||")
+    scale = max(_frobenius(m), np.finfo(float).tiny)
+    # residuals relative to ||m||_F, whose squares cannot overflow
+    worst = float(np.linalg.norm((m @ v - v * w[None, :]) / scale, axis=0).max())
+    if worst > tol:
+        raise _solver_failure(m, f"residual {worst * scale:.3e} exceeds {tol:g} * ||m||")
     return w, v
 
 
@@ -237,21 +246,23 @@ def spectral_radius(s):
     return float(np.abs(v).max())
 
 
-def _ritz_iteration(a, start, max_iter):
+def _ritz_iteration(a, q, max_iter, plain=0):
     """Subspace iteration with a Rayleigh-Ritz step on the span of the k
-    columns of ``start`` (Stewart, Numer. Math. 25, 1976; Rutishauser's
-    ritzit, Numer. Math. 16, 1970).
+    orthonormal columns of ``q`` (Stewart, Numer. Math. 25, 1976; Rutishauser's
+    ritzit, Numer. Math. 16, 1970). ``q`` is read, never written.
 
     Returns ``(moduli, vectors, converged)``: ``moduli`` holds
     |theta_1| >= ... of the leading min(2, k) Ritz values theta, and
     ``vectors`` the matching Ritz vectors x = q y as columns, in the same
     order, or None when the iteration did not converge. A real theta has a
     real x, as with LAPACK's dgeev; for k = 1, y = [[1.0]] and x is q
-    itself. A step takes z = a q and b = q^T z, the Ritz pairs (theta, y) of
-    b from ``np.linalg.eig`` ordered by modulus, and then q = qr(z). For
-    k = 1 this is power iteration; for k >= 2 the two leading Ritz values
-    converge to lambda1 and lambda2 at the rate |lambda_{k+1} / lambda_2|,
-    whether lambda2 is real or one of a complex pair. It stops when both
+    itself. The first ``plain`` steps, fewer than ``max_iter``, take z = a q
+    and q = qr(z) and project nothing. Every later step takes z = a q and
+    b = q^T z, the Ritz pairs (theta, y) of b from ``np.linalg.eig`` ordered
+    by modulus, and then q = qr(z). For k = 1 this is power iteration; for
+    k >= 2 the two leading Ritz values converge to lambda1 and lambda2 at the
+    rate |lambda_{k+1} / lambda_2|, whether lambda2 is real or one of a
+    complex pair. It stops when both
     (i) the leading min(2, k) Ritz pairs, with the conjugate of a nonreal
     second one, have ``||z y - q y theta||_F <= _ITERATION_TARGET * ||a||_F``.
     With r = a x - theta x, each pair is then an exact eigenpair
@@ -267,13 +278,14 @@ def _ritz_iteration(a, start, max_iter):
     [0.5, 1), and scales the moduli back by 2^e. Both are exact, so 2^j a
     gives the same q and 2^j times the moduli, and no norm can overflow.
     """
-    lead = min(2, start.shape[1])
+    lead = min(2, q.shape[1])
     e = math.frexp(float(np.abs(a).max()))[1]  # 0 for a zero a
     a = np.ldexp(a, -e)
     target = _ITERATION_TARGET * float(np.linalg.norm(a))
-    q = np.linalg.qr(start)[0]
+    for _ in range(plain):
+        q = np.linalg.qr(a @ q)[0]
     reading = math.inf
-    for _ in range(max_iter):
+    for _ in range(max_iter - plain):
         z = a @ q
         # np.dot, not @, for the k-column products: on arrays this small it
         # has the lower call overhead
@@ -330,9 +342,9 @@ def perron_pair(m, tol=DEFAULT_TOL, max_iter=None):
     max_iter = 100 * n if max_iter is None else _check_int(max_iter, "max_iter", 1)
     require_nonnegative(m, tol)
     a = np.where(m < 0.0, 0.0, m)
-    scale = max(float(np.linalg.norm(a)), np.finfo(float).tiny)
+    scale = max(_frobenius(a), np.finfo(float).tiny)
 
-    moduli, x, ok = _ritz_iteration(a, np.ones((n, 1)), max_iter)
+    moduli, x, ok = _ritz_iteration(a, np.linalg.qr(np.ones((n, 1)))[0], max_iter)
     rho = float(moduli[0])
     if not ok:
         # Stagnation: several eigenvalues share the leading modulus. Solve

@@ -518,14 +518,17 @@ def _csv(rows):
     # rows 0, 1 and columns 1, 2 give the minor 1 * 1 - 5 * 2
     (["tn-check", "--order", "2"], _csv([[2.0, 1.0, 5.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]]), 1),
     (["analyze"], "1.0,2.0\n3.0\n", 2),
-    # D m D^-1 with d = 2^U(-8, 8) inflates ||m||_F past the wedge radius's
-    # accuracy, and the two routes to lambda2 disagree (ROADMAP item 3)
-    (["analyze"], _csv(_similar_oscillatory(3, 1, 8.0)), 3),
+    # D m D^-1 with d = 2^U(-8, 8): the wedge iteration takes all three
+    # columns, and the two routes to lambda2 agree
+    (["analyze"], _csv(_similar_oscillatory(3, 1, 8.0)), 0),
     # all 50 eigenvalues of the cyclic permutation lie on the unit circle;
     # the wedge iteration takes all 50 columns and converges
     (["analyze"], _csv(np.roll(np.eye(50), 1, axis=0)), 0),
-], ids=["oscillatory-0", "planted-violation-1", "ragged-2", "refused-similarity-3",
-        "cyclic-50-0"])
+    # the Jordan block I + E: its Ritz values never settle, so the wedge
+    # iteration runs out of steps and the analysis is refused
+    (["analyze"], _csv(np.eye(3) + np.eye(3, k=1)), 3),
+], ids=["oscillatory-0", "planted-violation-1", "ragged-2", "similarity-0",
+        "cyclic-50-0", "jordan-block-3"])
 def test_module_process_exit_code(tmp_path, command, text, code):
     path = tmp_path / "m.csv"
     path.write_text(text)

@@ -362,9 +362,9 @@ def iterations(monkeypatch):
             calls[-1][0] += 1
             return np.asarray(self) @ other
 
-    def counted(a, start, max_iter):
+    def counted(a, start, *args):
         calls.append([0, None])
-        result = inner(np.asarray(a).view(Counting), start, max_iter)
+        result = inner(np.asarray(a).view(Counting), start, *args)
         calls[-1][1] = result[2]
         return result
 
@@ -379,8 +379,8 @@ def _perturb_ritz_radius(monkeypatch, factor):
 
     inner = gkmod._ritz_iteration
 
-    def perturbed(a, start, max_iter):
-        moduli, vectors, ok = inner(a, start, max_iter)
+    def perturbed(a, start, *args):
+        moduli, vectors, ok = inner(a, start, *args)
         return moduli * np.array([factor, 1.0 / factor]), vectors, ok
 
     monkeypatch.setattr(gkmod, "_ritz_iteration", perturbed)
@@ -401,8 +401,10 @@ class TestPerronCheck:
         assert solves == ["eigvalsh"]
 
     def test_general_input_solves_once_without_vectors(self, iterations, monkeypatch):
+        # the wedge iteration runs on all 8 columns, so each of its Ritz steps
+        # solves an 8 x 8 q^T m q too; the dense solves of m itself are counted
         m = random_oscillatory(8, seed=2)
-        solves = _count_solvers(monkeypatch, n=8)
+        solves = _count_solvers(monkeypatch, of=m)
         r = analyze(m)
         assert r.classification == CLASS_SECOND
         assert [ok for _, ok in iterations] == [True]
@@ -471,19 +473,26 @@ class TestPerronCheck:
 
         inner = gkmod._ritz_iteration
 
-        def stalled(a, start, max_iter):
-            moduli, _, _ = inner(a, start, max_iter)
+        def stalled(a, start, *args):
+            moduli, _, _ = inner(a, start, *args)
             return moduli, None, False
 
         monkeypatch.setattr(gkmod, "_ritz_iteration", stalled)
-        with pytest.raises(ConvergenceError, match="did not converge in 300 steps"):
+        # the three moduli of TRIDIAG plan all three columns and s = 1 step,
+        # so the budget is 4 s + 20
+        with pytest.raises(ConvergenceError,
+                           match="did not converge in 24 steps on 3 columns"):
             analyze(TRIDIAG)
 
-    def test_jordan_block_budget_runs_out(self):
-        # the Ritz values of a Jordan block move by about eps^(1/3) from one
-        # step to the next and never settle
-        with pytest.raises(ConvergenceError, match="did not converge in 300 steps"):
-            analyze(np.eye(3) + np.eye(3, k=1))
+    def test_jordan_block_budget_runs_out(self, iterations):
+        # the Ritz values of a Jordan block move by about eps^(1/n) from one
+        # step to the next and never settle; its n tied moduli plan all n
+        # columns and s = 1, so the iteration is refused after 4 s + 20 steps
+        for n in (3, 5, 8):
+            with pytest.raises(ConvergenceError,
+                               match=f"did not converge in 24 steps on {n} columns"):
+                analyze(np.eye(n) + np.eye(n, k=1))
+        assert iterations == [[24, False]] * 3
 
     @pytest.mark.parametrize("k", [20, -30])
     def test_tiny_negative_entry_keeps_its_verdict(self, k):
@@ -624,31 +633,45 @@ class TestDiagonalSimilarity:
         assert s.lambda1 == pytest.approx(r.lambda1, rel=1e-8)
         assert s.lambda2 == pytest.approx(r.lambda2, rel=1e-8)
 
-    @pytest.mark.xfail(strict=True, raises=ConvergenceError,
-                       reason="ROADMAP item 3: the wedge radius is accurate only to "
-                              "about 1e-13 ||m||_F^2, which d = 2^U(-8, 8) inflates")
     def test_wider_similarity_keeps_the_verdict(self):
-        # 180 of the 1,000 sweep draws at x = 8 are refused; this is the first
+        # the first of the 180 sweep draws at x = 8 that were refused while
+        # the wedge iteration ran on a fixed six columns or fewer
         m, similar = _similar(3, 1, x=8.0)
         r, s = analyze(m), analyze(similar)
         assert s.classification == r.classification == CLASS_SECOND
         assert s.lambda2 == pytest.approx(r.lambda2, rel=1e-8)
 
-    @pytest.mark.parametrize("m", [
-        _similar(3, 56)[1],
-        discretize(builtin_kernel("gaussian"), 60).discretized,
+    @pytest.mark.parametrize("x", [8.0, 12.0])
+    @pytest.mark.parametrize("n, seed", SIMILARITY_DRAWS)
+    def test_wide_similarity_keeps_the_verdict(self, n, seed, x):
+        # d = 2^U(-x, x) inflates ||m||_F far past the spectrum; n <= 12 plans
+        # all n columns, on which the Ritz values are those of q^T m q
+        m, similar = _similar(n, seed, x)
+        r, s = analyze(m), analyze(similar)
+        assert s.classification == r.classification == CLASS_SECOND
+        assert s.lambda1 == pytest.approx(r.lambda1, rel=1e-8)
+        assert s.lambda2 == pytest.approx(r.lambda2, rel=1e-8)
+
+    @pytest.mark.parametrize("m, p", [
+        (_similar(3, 56)[1], 3),
+        (discretize(builtin_kernel("gaussian"), 60).discretized, 6),
     ], ids=["similar-3-56", "gaussian-60"])
-    def test_converged_span_is_invariant_to_target(self, m, monkeypatch):
+    def test_converged_span_is_invariant_to_target(self, m, p, monkeypatch):
         # converged means the leading min(2, k) Ritz pairs (theta, x) have
         # ||a x - x theta||_F <= 1e-13 ||a||_F, for the Perron column and the
-        # wedge columns alike
+        # wedge columns alike. The wedge columns are planned from the dense
+        # moduli: all three for the 3 x 3 similarity, and six for the
+        # gaussian grid, whose |lambda_7 / lambda_2| is below 1e-6
+        import wedgespec.gk as gkmod
         from wedgespec import perron_pair
 
+        moduli = np.abs(eigenvalues(m))
+        assert gkmod._wedge_plan(moduli)[0] == p
         seen = _record_iterations(monkeypatch)
         perron_pair(m)
         _radius(m)
         assert [ok for _, _, (_, _, ok) in seen] == [True, True]
-        assert [k for _, k, _ in seen] == [1, max(2, min(6, m.shape[0] - 1))]
+        assert [k for _, k, _ in seen] == [1, p]
         for a, k, (_, x, _) in seen:
             assert x.shape == (m.shape[0], min(2, k))
             assert _ritz_residual(a, x) <= 1e-13
@@ -662,8 +685,8 @@ def _record_iterations(monkeypatch):
     inner = spectramod._ritz_iteration
     seen = []
 
-    def recorded(a, start, max_iter):
-        result = inner(a, start, max_iter)
+    def recorded(a, start, *args):
+        result = inner(a, start, *args)
         seen.append((a, start.shape[1], result))
         return result
 
@@ -697,6 +720,61 @@ def _ritz_residual(a, x):
     return float(np.linalg.norm(ax - x * theta) / np.linalg.norm(a))
 
 
+def _tridiagonal(n):
+    """The [1, 2, 1] Toeplitz tridiagonal: |lambda_3 / lambda_2| -> 1 as n grows."""
+    return 2.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)
+
+
+class TestWedgePlan:
+    def test_plain_steps_solve_nothing(self, monkeypatch):
+        # the first `plain` steps take a q and its QR only; every later step
+        # makes one p x p eig
+        import wedgespec.gk as gkmod
+        from wedgespec.spectra import _ritz_iteration
+
+        m = discretize(builtin_kernel("green_string"), 50).discretized
+        p, s = gkmod._wedge_plan(np.abs(eigenvalues(m)))
+        assert s > 2
+        calls = []
+
+        class Counting(np.ndarray):
+            def __matmul__(self, other):
+                calls.append("step")
+                return np.asarray(self) @ other
+
+        inner = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda a: (calls.append("eig"), inner(a))[1])
+        q = gkmod._start_basis(50, p)
+        _, _, ok = _ritz_iteration(m.view(Counting), q, 4 * s + 20, s - 2)
+        steps = calls.count("step")
+        assert ok and steps >= s
+        assert calls == ["step"] * (s - 2) + ["step", "eig"] * (steps - s + 2)
+
+    @pytest.mark.parametrize("n, seed", [(3, 0), (4, 1), (7, 2), (10, 3), (12, 4)])
+    def test_plan_is_invariant(self, n, seed):
+        # 2^k m, m^T and J m J have the spectrum of m, so the dense moduli
+        # plan the same columns and steps for all four
+        import wedgespec.gk as gkmod
+
+        m = random_oscillatory(n, seed=seed)
+        plans = {gkmod._wedge_plan(np.abs(eigenvalues(a)))
+                 for a in (m, 2.0 ** -300 * m, 2.0 ** 40 * m, m.T.copy(), m[::-1, ::-1].copy())}
+        assert len(plans) == 1
+
+    @pytest.mark.parametrize("m, steps", [
+        (_tridiagonal(200), 40),
+        (np.random.default_rng(1).uniform(0.5, 1.0, (40, 40)), 4),
+    ], ids=["tridiagonal-200", "uniform-40"])
+    def test_close_moduli_take_few_steps(self, m, steps, iterations):
+        # |lambda_3 / lambda_2| is 0.9999 on the tridiagonal and lambda2 is one
+        # of a complex pair on the uniform draw; the old sizing, 7 and 6
+        # columns, took 4,888 and 1,030 steps, the planned ones at most `steps`
+        moduli = np.abs(eigenvalues(m))
+        assert _radius(m) == pytest.approx(moduli[0] * moduli[1], rel=1e-10)
+        [[taken, ok]] = iterations
+        assert ok and taken <= steps
+
+
 class TestOrthonormalization:
     @pytest.mark.parametrize("m", [
         discretize(builtin_kernel("gaussian"), 60).discretized,
@@ -715,11 +793,18 @@ class TestOrthonormalization:
         random_oscillatory(10, seed=3),
     ], ids=["green-50", "oscillatory-10-3"])
     def test_one_householder_qr_per_step(self, m, iterations, qr_calls):
-        # one QR of the start columns, then one per step but the last, which
-        # stops on the span it has just read
+        # the first analyze makes one QR of the start columns, which is kept
+        # for the next call of the same plan; then each call makes one QR per
+        # step but the last, which stops on the span it has just read
+        import wedgespec.gk as gkmod
+
+        gkmod._start_basis.cache_clear()
+        p, s = gkmod._wedge_plan(np.abs(eigenvalues(m)))
         analyze(m)
-        [[steps, ok]] = iterations
-        assert ok and qr_calls == [(m.shape[0], 6)] * steps
+        analyze(m)
+        [steps, ok], again = iterations
+        assert ok and again == [steps, ok] and steps >= s
+        assert qr_calls == [(m.shape[0], p)] * (2 * steps - 1)
 
     @pytest.mark.parametrize("m", [
         np.diag([1.0, 0.0, 0.0]),
@@ -727,10 +812,14 @@ class TestOrthonormalization:
     ], ids=["diag-1-0-0", "outer"])
     def test_rank_one_wedge_takes_the_fallback(self, m, monkeypatch, qr_calls):
         # m q has rank one, and the Householder QR of each step completes it
-        # to an orthonormal basis; the radius is zero to rounding
+        # to an orthonormal basis; the radius is zero to rounding. The start
+        # basis is kept from an earlier call, so every QR is of a step's m q
+        import wedgespec.gk as gkmod
+
+        gkmod._start_basis(m.shape[0], gkmod._wedge_plan(np.abs(eigenvalues(m)))[0])
         seen = _record_iterations(monkeypatch)
         radius = _radius(m)
-        assert len(qr_calls) >= 2
+        assert len(qr_calls) >= 1
         assert radius <= 4 * np.finfo(float).eps * np.linalg.norm(m) ** 2
         [(a, _, (_, x, ok))] = seen
         assert ok and _ritz_residual(a, x) <= 1e-13

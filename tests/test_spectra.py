@@ -87,6 +87,17 @@ class TestEigenpairs:
         res = np.linalg.norm(m @ v - v * w[None, :], axis=0)
         assert res.max() <= 1e-9 * np.linalg.norm(m)
 
+    def test_residual_check_holds_past_the_square_root_of_the_float_range(self):
+        # at 2^900 the squares behind ||m||_F and the residual norms overflow;
+        # the check is made in units of max|m|, where a tol of 1e-300 fails.
+        # LAPACK scales input this large itself, so the values move at rounding
+        # level
+        m = np.random.default_rng(4).standard_normal((4, 4))
+        w, v = eigenpairs(2.0 ** 900 * m)
+        np.testing.assert_allclose(w, 2.0 ** 900 * eigenpairs(m)[0], rtol=1e-12)
+        with pytest.raises(ConvergenceError, match="exceeds 1e-300"):
+            eigenpairs(2.0 ** 900 * m, tol=1e-300)
+
     def test_order_matches_eigenvalues(self):
         rng = np.random.default_rng(3)
         m = rng.standard_normal((5, 5))
@@ -94,14 +105,15 @@ class TestEigenpairs:
         np.testing.assert_array_equal(w, eigenvalues(m))
 
 
-def _count_solvers(monkeypatch, n=None):
+def _count_solvers(monkeypatch, n=None, of=None):
     """Record, by name, every dense numpy eigensolver call, or only those on
-    n x n input when ``n`` is given."""
+    n x n input when ``n`` is given, or only those on the array ``of`` itself
+    when it is given."""
     calls = []
 
     def counted(name, inner):
         def solve(a):
-            if n is None or len(a) == n:
+            if (n is None or len(a) == n) and (of is None or a is of):
                 calls.append(name)
             return inner(a)
         return solve
@@ -233,6 +245,24 @@ class TestPerronPair:
         lam_c, v_c = perron_pair(c * m)
         assert lam_c == lam * c
         assert np.array_equal(v_c, v)
+
+    @pytest.mark.parametrize("k", [515, 900])
+    def test_scaling_past_the_square_root_of_the_float_range(self, k):
+        # ||m||_F is representable, but the sum of squares behind it is not;
+        # it was inf, and every root fell below tol * inf
+        import warnings
+
+        from wedgespec import random_oscillatory
+
+        m = random_oscillatory(4, seed=1)
+        lam, v = perron_pair(m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lam_c, v_c = perron_pair(2.0 ** k * m)
+            lam_ones, _ = perron_pair(1e155 * np.ones((3, 3)))
+        assert lam_c == lam * 2.0 ** k
+        assert np.array_equal(v_c, v)
+        assert lam_ones == pytest.approx(3e155, rel=1e-14)
 
     def test_imprimitive_fallback(self):
         # A^2 = I, eigenvalues +-1; power iteration stagnates and the dense
