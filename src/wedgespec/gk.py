@@ -227,10 +227,12 @@ def analyze(m, tol=DEFAULT_TOL, circle_tol=DEFAULT_CIRCLE_TOL,
         for every classification but degenerate_rho_zero.
     seed : int
         A nonnegative integer, checked even when unused: the seed of the
-        sampled order-2 hypothesis check, the last resort for
-        matrices whose contiguous 2x2 minors do not decide it (zeros, or a
-        minor in the slack band) and whose 2x2 minors exceed the exhaustive
-        budget; the certificate's mode then reads "sampled".
+        sampled order-2 hypothesis check. The scan of adjacent nonzero rows
+        decides every matrix with no negative entry unless Karlin's deficit
+        exceeds ``tol`` with no cell below the threshold; only such input,
+        or input with a negative entry, whose 2x2 minors also exceed the
+        exhaustive budget is sampled, and the certificate's mode then reads
+        "sampled".
 
     Returns
     -------

@@ -9,6 +9,7 @@ scaled copies of the same matrix.
 from dataclasses import dataclass, replace
 from itertools import repeat
 from math import comb, frexp, ldexp
+from sys import float_info
 from typing import Optional
 
 import numpy as np
@@ -38,9 +39,12 @@ class TNCertificate:
     ``mode`` is "exhaustive" when the verdict covers every minor of every
     order up to ``order_checked``, whether each was evaluated or a structure
     theorem bounds them from the ones that were; ``minors_evaluated`` counts
-    the determinants actually computed. "sampled" means a seeded random
-    subset was evaluated, and the verdict certifies only the minors seen. On
-    a false verdict ``witness`` holds a violating minor.
+    the determinants actually computed, which for the order-2 scan of
+    ``is_two_totally_nonnegative`` are its cells. "sampled" means a seeded
+    random subset was evaluated, and the verdict certifies only the minors
+    seen; the order-2 hypothesis is sampled only behind a negative entry or
+    a Karlin deficit above tol, on input beyond the minor budget. On a false
+    verdict ``witness`` holds a violating minor.
     """
 
     order_checked: int
@@ -72,9 +76,11 @@ def _threshold(amax, j, tol):
     try:
         return -tol * amax ** j
     except OverflowError:
-        raise ValidationError(
-            f"order-{j} minors overflow float64 (max |entry| = {amax:g})"
-        ) from None
+        raise _overflow(j, amax) from None
+
+
+def _overflow(j, amax):
+    return ValidationError(f"order-{j} minors overflow float64 (max |entry| = {amax:g})")
 
 
 def _order_sweep(m, j, thresh):
@@ -172,53 +178,87 @@ def is_totally_nonnegative(m, k, tol=DEFAULT_TOL, budget=MINOR_BUDGET, sample=Fa
     return TNCertificate(k, witness is None, witness, total, "exhaustive")
 
 
-def _contiguous_order_two(m, amax, tol):
-    """Order-2 certificate from the (n-1)^2 contiguous 2x2 minors, or None
-    when they do not decide.
+def _contiguous_order_two(m, frac, e, tol):
+    """Order-2 certificate from the 2x2 minors of adjacent nonzero rows on
+    consecutive joint columns, or None when they do not decide. A witness
+    value is 2^-e times its minor.
 
-    With 2^e the power of two that puts amax * 2^-e in [0.5, 1), each cell
+    Exactly zero rows are dropped. For each pair of adjacent remaining rows
+    f above h, the joint columns are those where (f, h) is not (0, 0), and a
+    cell is the 2x2 minor of f and h on two consecutive joint columns; when
+    no pair has a (0, 0) column these are the contiguous 2x2 minors of the
+    nonzero rows, (n-1)^2 of them on a strictly positive matrix. With 2^e
+    the power of two that puts amax * 2^-e = frac in [0.5, 1), each cell
     [[a, b], [c, d]] gives bc = (b 2^-e) c and D = (a 2^-e) d - bc. Both
-    scalings are exact, so D is 2^-e times the contiguous minor wherever
-    that minor's products are normal, and the scan decides a positive
-    multiple of ``m`` by a power of two as it decides ``m``. A cell with D
-    below 2^-e * (-tol * amax^2) is a witness, reported as the correctly
-    rounded minor D * 2^e, which equals ``minor(m, rows, cols)`` wherever
-    that is normal.
+    scalings are exact, so D is 2^-e times the cell's minor wherever that
+    minor's products are normal, and the scan decides a positive multiple
+    of ``m`` by a power of two as it decides ``m``. A cell with D below
+    2^-e * (-tol * amax^2) is a witness.
 
-    For a strictly positive matrix the contiguous cross-ratios r = a d / (b c)
-    bound every other 2x2 minor (Karlin, Total Positivity, 1968): for i < k
-    and j < l the ratio m[i,j] m[k,l] / (m[i,l] m[k,j]) is the product of the
-    r over the cells of [i, k) x [j, l), and prod (1 - x) >= 1 - sum x for
-    x in [0, 1], so with S = sum max(0, 1 - r)
+    Otherwise, on a matrix with no negative entry, Karlin's deficit (Total
+    Positivity, 1968) S = sum max(0, -D) / bc, the sum of 1 - ad / (bc) over
+    the cells with D < 0, formed in place on D, certifies when S <= tol. For
+    S < 1 every 2x2 minor on rows i < k and columns j < l is
 
         minor >= -S * m[i,l] * m[k,j] >= -S * amax^2,
 
-    and S <= tol certifies every minor. The deficit 1 - r is -D / bc, with
-    the factor 2^-e on both sides, so
+    and for S >= 1 (so tol >= 1) every minor is ad - bc >= -amax^2 anyway.
 
-        S = sum max(0, -D) / bc,
+    Proof of the bound, for S < 1. For nonzero rows f above h let P(f, h)
+    say: for all columns j < l with f(l) > 0 and h(j) > 0, f(j) > 0,
+    h(l) > 0 and f(j) h(l) >= (1 - S_fh) f(l) h(j), with S_fh the deficits
+    summed over the cells of the adjacent pairs from f down to h.
 
-    formed in place on D. Zeros, or an S that is not at most tol (a NaN
-    from a product that underflowed to zero included), leave it undecided.
+    - Adjacent rows. As S < 1, no deficit is 1. So along the joint columns
+      the pair runs f-only, then both positive, then h-only: any other step
+      is a cell with ad = 0 < bc, whose deficit is 1. Hence j and l lie in
+      the both-positive run, f(j) h(l) / (f(l) h(j)) is the product of the
+      ad / (bc) >= 1 - delta over its cells from j to l, and
+      prod (1 - delta) >= 1 - sum delta for delta in [0, 1].
+    - Chaining through a nonzero row g between f and h. Take z with
+      g(z) > 0. If z > j, P(g, h) at (j, z) gives g(j) > 0. If z < j,
+      P(f, g) at (z, l) gives g(l) > 0, and then P(g, h) at (j, l) gives
+      g(j) > 0. P(f, g) and P(g, h) at (j, l) then bound both ratios, and
+      their product is P(f, h) with S_fh = S_fg + S_gh, as
+      (1 - x)(1 - y) >= 1 - x - y.
+
+    A minor with f(l) = 0 or h(j) = 0 is f(j) h(l) >= 0, and one on a zero
+    row is 0. The computed deficits are exact to a few ulps when every
+    product of two nonzero entries is a normal float. So with a negative
+    entry, with a smallest nonzero entry tiny whose product
+    (tiny 2^-e) tiny is below the normal range, or with S above tol, the
+    scan does not decide.
     """
-    frac, e = frexp(amax)
-    bc = np.ldexp(m[:-1, 1:], -e)
-    bc *= m[1:, :-1]
-    delta = np.ldexp(m[:-1, :-1], -e)
-    delta *= m[1:, 1:]
+    n = m.shape[0]
+    tiny, rows, joint = float(m.min()), np.arange(n), None
+    if tiny <= 0.0:  # drop the zero rows and find each pair's joint columns
+        nz = m != 0.0
+        tiny, rows = float(m.min(where=nz, initial=np.inf)), np.flatnonzero(nz.any(axis=1))
+        joint = nz[rows[:-1]] | nz[rows[1:]]
+    if joint is None or joint.all():  # the contiguous cells of the nonzero rows
+        r = m if rows.size == n else m[rows]
+        a, b, c, d = r[:-1, :-1], r[:-1, 1:], r[1:, :-1], r[1:, 1:]
+        p, lo, hi = np.arange(rows.size - 1)[:, None], np.arange(n - 1), np.arange(1, n)
+    else:  # consecutive joint columns within each pair of rows
+        p, col = np.divmod(np.flatnonzero(joint), n)
+        same = p[1:] == p[:-1]
+        p, lo, hi = p[:-1][same], col[:-1][same], col[1:][same]
+        a, b, c, d = m[rows[p], lo], m[rows[p], hi], m[rows[p + 1], lo], m[rows[p + 1], hi]
+    bc = np.ldexp(b, -e)
+    bc *= c
+    delta = np.ldexp(a, -e)
+    delta *= d
     delta -= bc
-    i, j = map(int, np.unravel_index(int(np.argmin(delta)), delta.shape))
-    if delta[i, j] < ldexp(-tol * frac * frac, e):
-        witness = MinorWitness((i, i + 1), (j, j + 1), ldexp(float(delta[i, j]), e))
+    if delta.min(initial=0.0) < ldexp(-tol * frac * frac, e):
+        t = np.unravel_index(int(np.argmin(delta)), delta.shape)
+        p, lo, hi = (int(x[t]) for x in np.broadcast_arrays(p, lo, hi))
+        witness = MinorWitness((int(rows[p]), int(rows[p + 1])), (lo, hi), float(delta[t]))
         return TNCertificate(2, False, witness, delta.size, "exhaustive")
-    if float(m.min()) <= 0.0:
-        return None
-    np.minimum(delta, 0.0, out=delta)
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # a zero bc has D >= 0: fmin takes its inf or nan to 0
         np.divide(delta, bc, out=delta)
-    if not -float(delta.sum()) <= tol:
-        return None
-    return TNCertificate(2, True, None, delta.size, "exhaustive")
+    np.fmin(delta, 0.0, out=delta)
+    decided = tiny >= 0.0 and ldexp(tiny, -e) * tiny >= float_info.min and -delta.sum() <= tol
+    return TNCertificate(2, True, None, delta.size, "exhaustive") if decided else None
 
 
 def is_two_totally_nonnegative(m, tol=DEFAULT_TOL, budget=MINOR_BUDGET,
@@ -227,20 +267,22 @@ def is_two_totally_nonnegative(m, tol=DEFAULT_TOL, budget=MINOR_BUDGET,
 
     Returns a pair of certificates: entrywise nonnegativity of the matrix
     itself, and nonnegativity of all its 2x2 minors (the entries of the
-    exterior square). The order-2 check first scans the contiguous 2x2
-    minors D, scaled by the exact power of two 2^-e that puts max|m| 2^-e
-    in [0.5, 1), so a power-of-two multiple of ``m`` gets the same verdict
-    and witness position. They decide it at every n when one of them is a
-    violation or when the matrix is strictly positive with Karlin's deficit
-    S = sum max(0, -D) / bc inside ``tol``, where bc is the scaled
-    off-diagonal product of each cell (see ``_contiguous_order_two``). Only
-    input that scan leaves undecided (zeros, or a contiguous minor in the
-    slack band) is swept exhaustively under the minor budget, and above the
-    budget sampled with ``samples`` 2x2 minors from ``seed``; the
-    certificate's mode says which. The sweep and the sampler read the minors
-    of m 2^-e, the same exact scaling, and report a witness as the correctly
-    rounded minor of ``m``. ``budget``, ``samples`` and ``seed`` are checked
-    on every call.
+    exterior square). The order-2 check scans the 2x2 minors of adjacent
+    nonzero rows on consecutive joint columns (see ``_contiguous_order_two``),
+    scaled by the exact power of two 2^-e that puts max|m| 2^-e in
+    [0.5, 1), so a power-of-two multiple of ``m`` gets the same verdict and
+    witness position; ``minors_evaluated`` counts those cells, (n-1)^2 on a
+    strictly positive matrix and O(n) on a banded one. The scan decides at
+    every n when one of them is a violation, or when the matrix has no
+    negative entry and Karlin's deficit S = sum max(0, -D) / bc is at most
+    ``tol``. Only input it leaves undecided (a negative entry, or S above
+    ``tol`` with no cell below the threshold) is swept
+    exhaustively under the minor budget, and above the budget sampled with
+    ``samples`` 2x2 minors from ``seed``; the certificate's mode says which.
+    The sweep and the sampler read the minors of m 2^-e, the same exact
+    scaling. A witness is reported as the correctly rounded minor of ``m``,
+    and one that overflows float64 raises ValidationError. ``budget``,
+    ``samples`` and ``seed`` are checked on every call.
     """
     m = as_dense_matrix(m)
     _check_tol(tol)
@@ -257,19 +299,21 @@ def is_two_totally_nonnegative(m, tol=DEFAULT_TOL, budget=MINOR_BUDGET,
     cert1 = TNCertificate(1, neg is None, witness, n * n, "exhaustive")
 
     _threshold(amax, 2, tol)  # refuses minors that overflow
-    cert2 = _contiguous_order_two(m, amax, tol)
-    if cert2 is not None:
-        return cert1, cert2
     frac, e = frexp(amax)
-    scaled = np.ldexp(m, -e)
-    if comb(n, 2) ** 2 > budget:
-        cert2 = _sample_minors(scaled, 2, 2, repeat(np.random.default_rng(seed), samples), tol)
-    else:
-        witness, evaluated = _order_sweep(scaled, 2, -tol * frac * frac)
-        cert2 = TNCertificate(2, witness is None, witness, evaluated, "exhaustive")
+    cert2, shift = _contiguous_order_two(m, frac, e, tol), e
+    if cert2 is None:
+        scaled, shift = np.ldexp(m, -e), 2 * e
+        if comb(n, 2) ** 2 > budget:
+            cert2 = _sample_minors(scaled, 2, 2, repeat(np.random.default_rng(seed), samples), tol)
+        else:
+            witness, evaluated = _order_sweep(scaled, 2, -tol * frac * frac)
+            cert2 = TNCertificate(2, witness is None, witness, evaluated, "exhaustive")
     w = cert2.witness
     if w is not None:
-        cert2 = replace(cert2, witness=replace(w, value=ldexp(w.value, 2 * e)))
+        try:
+            cert2 = replace(cert2, witness=replace(w, value=ldexp(w.value, shift)))
+        except OverflowError:
+            raise _overflow(2, amax) from None
     return cert1, cert2
 
 

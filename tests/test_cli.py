@@ -55,6 +55,14 @@ class TestAnalyze:
         assert code == 0
         assert json.loads(out)["lambda1"] == pytest.approx(3.41421356, abs=1e-7)
 
+    def test_overflowing_witness_exit_2(self, capsys, tmp_path):
+        # the order-2 witness -2 a^2 overflows float64 while a^2 does not
+        path = tmp_path / "big.csv"
+        path.write_text("-1.3e154,1.3e154\n1.3e154,1.3e154\n")
+        code, out, err = run(capsys, "analyze", str(path))
+        assert (code, out) == (2, "")
+        assert "order-2 minors overflow float64" in err and "Traceback" not in err
+
     def test_empty_file_exit_2(self, capsys, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")

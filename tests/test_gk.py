@@ -34,7 +34,7 @@ from wedgespec.gk import (
     _to_json,
 )
 
-from .test_positivity import planted_green
+from .test_positivity import green_corner, planted_green
 from .test_spectra import _count_solvers
 
 THREE_CYCLE = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
@@ -133,8 +133,8 @@ class TestAnalyzeExamples:
     def test_seed_not_a_nonnegative_integer_rejected(self, kind, seed):
         # the seed is checked whether or not the sampled order-2 route uses it
         if kind == "sampled-route":
-            e = np.eye(100, k=1)
-            m = 2.0 * np.eye(100) + e + e.T
+            m = green_corner(100)
+            assert analyze(m).hypothesis_certificates[1].mode == "sampled"
         else:
             m = random_oscillatory(5, 1)
         with pytest.raises(ValidationError, match="^seed must be an integer >= 0"):
@@ -168,6 +168,26 @@ class TestAnalyzeExamples:
         assert (cert.mode, cert.minors_evaluated) == ("exhaustive", 99 ** 2)
         assert (cert.witness.rows, cert.witness.cols) == ((50, 51), (50, 51))
         assert cert.witness.value == pytest.approx(-5e-8, rel=1e-6)
+
+    @pytest.mark.parametrize("kind, n", [("tridiagonal", 100), ("tridiagonal", 300),
+                                         ("diagonal", 100)])
+    def test_zero_laden_jacobi_matrices_rest_on_an_exhaustive_certificate(self, kind, n):
+        # [1, 2, 1] and diag(n..1) + E + E^T have zeros, and above n = 80
+        # their order-2 certificate was 2,000 sampled minors; the scan of
+        # adjacent nonzero rows on joint columns certifies them exactly
+        e = np.eye(n, k=1)
+        diag = 2.0 * np.ones(n) if kind == "tridiagonal" else np.arange(n, 0.0, -1.0)
+        r = analyze(np.diag(diag) + e + e.T)
+        assert r.classification == CLASS_SECOND
+        cert = r.hypothesis_certificates[1]
+        assert (cert.verdict, cert.mode) == (True, "exhaustive")
+        assert cert.minors_evaluated < 3 * n
+
+    def test_overflowing_witness_refused(self):
+        # a^2 is a finite float64 and the witness minor -2 a^2 is not
+        a = 1.3e154
+        with pytest.raises(ValidationError, match="order-2 minors overflow float64"):
+            analyze([[-a, a], [a, a]])
 
     def test_planted_minor_found_below_the_normal_range(self):
         # at 2^-530 the planted minor, about -5e-8 * 2^-1060, underflows to

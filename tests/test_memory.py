@@ -8,6 +8,7 @@ holds at once. The bounds are in units of one n x n float64 array.
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from wedgespec import analyze, builtin_kernel, discretize, exterior_square
@@ -46,6 +47,16 @@ def test_order_two_certificate_holds_at_most_three_squares(grid):
     # the scan holds two squares, the scaled off-diagonal products bc and the
     # contiguous minors D, and forms the cross-ratio deficits in place on D
     assert _peak_squares(is_two_totally_nonnegative, grid) <= 3.0
+
+
+@pytest.mark.parametrize("diagonal", ["ones", "n..1"])
+def test_order_two_certificate_of_a_tridiagonal_holds_at_most_three_squares(diagonal):
+    # zeros send the scan to the gather of consecutive joint cells: index
+    # arrays and cells of O(n) each, next to the n x n masks of nonzero
+    # entries and of the pairs' joint columns
+    e = np.eye(N, k=1)
+    d = 2.0 * np.ones(N) if diagonal == "ones" else np.arange(N, 0.0, -1.0)
+    assert _peak_squares(is_two_totally_nonnegative, np.diag(d) + e + e.T) <= 3.0
 
 
 def test_exterior_square_holds_little_beyond_its_output():

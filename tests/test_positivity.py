@@ -25,7 +25,7 @@ from wedgespec import (
 )
 from wedgespec import positivity
 from wedgespec.compound import _det_stack
-from wedgespec.positivity import MinorWitness, _neville_tn, _order_sweep
+from wedgespec.positivity import MINOR_BUDGET, MinorWitness, _neville_tn, _order_sweep
 from tests.test_compound import det_laplace
 
 
@@ -42,6 +42,24 @@ def all_minors(m, k):
 
 
 THREE_CYCLE = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+
+
+def slack_ramp(n, c=5e-10):
+    """1 - c i j: every contiguous 2x2 minor is -c, inside the slack band at
+    the default tol, while the minor on rows (i, k) and columns (j, l) is
+    -c (k - i)(l - j). No entry is negative, and Karlin's deficit sums to
+    about c n^2, above tol, so the scan leaves it to the sweep or sampler."""
+    i = np.arange(n, dtype=float)
+    return 1.0 - c * np.outer(i, i)
+
+
+def green_corner(n):
+    """green_string with the corner (0, n-1) set to -0.5 max|m|: a negative
+    entry, so the scan cannot certify; it is the b of every 2x2 minor it is
+    in, so every such minor stays >= 0 and the order-2 verdict is True."""
+    m = discretize(builtin_kernel("green_string"), n).discretized.copy()
+    m[0, n - 1] = -0.5 * float(np.abs(m).max())
+    return m
 
 
 def plant(m, i, depth):
@@ -176,14 +194,12 @@ class TestTwoTotallyNonnegative:
         assert c1.witness.rows == (0,) and c1.witness.cols == (1,)
 
     def test_sampled_above_budget(self):
-        # every odd row zero: no contiguous minor is negative and the
-        # contiguous scan cannot decide, so the budget sends it to sampling
-        m = np.random.default_rng(0).uniform(0.5, 1.0, (80, 80))
-        m[1::2] = 0.0
-        c1, c2 = is_two_totally_nonnegative(m, budget=10_000, samples=200, seed=1)
-        assert c1.mode == "exhaustive"
-        assert c2.mode == "sampled"
-        assert c2.minors_evaluated == 200
+        # a negative entry and no cell below the threshold: the scan cannot
+        # decide, so the budget sends it to sampling
+        c1, c2 = is_two_totally_nonnegative(green_corner(80), budget=10_000, samples=200,
+                                            seed=1)
+        assert (c1.verdict, c1.mode) == (False, "exhaustive")
+        assert (c2.verdict, c2.mode, c2.minors_evaluated) == (True, "sampled", 200)
 
     def test_sampled_route_draws_only_two_by_two_minors(self, monkeypatch):
         # the order-1 certificate is exhaustive, so no draw goes to an entry
@@ -194,10 +210,27 @@ class TestTwoTotallyNonnegative:
             return _det_stack(sub)
 
         monkeypatch.setattr(positivity, "_det_stack", det_stack)
-        m = np.random.default_rng(0).uniform(0.5, 1.0, (80, 80))
-        m[1::2] = 0.0
+        m = slack_ramp(80)
         _, cert = is_two_totally_nonnegative(m, budget=10_000, samples=300, seed=1)
         assert cert.mode == "sampled" and orders == [2] * 300
+
+    @pytest.mark.parametrize("n", [30, 100, 300, 600])
+    def test_oscillatory_tridiagonals_are_certified_by_the_scan(self, n, monkeypatch):
+        # [1, 2, 1] and diag(n..1) + E + E^T: each adjacent pair of rows has
+        # at most four joint columns, so 3n - 5 cells decide at every n, and
+        # neither the sweep nor the sampler is reached
+        def refuse(*args):
+            raise AssertionError("the scan should decide")
+
+        monkeypatch.setattr(positivity, "_order_sweep", refuse)
+        monkeypatch.setattr(positivity, "_sample_minors", refuse)
+        e = np.eye(n, k=1)
+        for m in (2.0 * np.eye(n) + e + e.T, np.diag(np.arange(n, 0.0, -1.0)) + e + e.T):
+            if n == 30:
+                assert compound_matrix(m, 2).min() >= 0.0
+            c1, c2 = is_two_totally_nonnegative(m)
+            assert c1.verdict
+            assert c2 == TNCertificate(2, True, None, 3 * n - 5, "exhaustive")
 
     def test_contiguous_witness_needs_no_budget(self):
         m = np.random.default_rng(0).uniform(0.5, 1.0, (80, 80))
@@ -253,13 +286,15 @@ class TestOrderTwoOracle:
         _, cert = is_two_totally_nonnegative(slack)
         assert cert.mode == "exhaustive"
         assert cert.verdict == self._oracle_verdict(slack)
-        # zeros everywhere but two corners: the only negative 2x2 minor,
-        # rows and columns (0, n-1), is not contiguous, so the sweep finds it
+        # zeros everywhere but two corners: the only negative 2x2 minor is on
+        # rows and columns (0, n-1). With the zero rows dropped, rows 0 and
+        # n-1 are adjacent and their joint columns are 0 and n-1, so that
+        # minor is the scan's one cell
         corners = np.zeros((n, n))
         corners[0, n - 1], corners[n - 1, 0] = rng.uniform(0.5, 1.0, 2)
         _, cert = is_two_totally_nonnegative(corners)
         assert not self._oracle_verdict(corners)
-        assert (cert.verdict, cert.mode) == (False, "exhaustive")
+        assert (cert.verdict, cert.mode, cert.minors_evaluated) == (False, "exhaustive", 1)
         assert cert.witness == MinorWitness((0, n - 1), (0, n - 1),
                                             -corners[0, n - 1] * corners[n - 1, 0])
 
@@ -288,25 +323,27 @@ def planted_green():
 
 
 def zero_rows(n):
-    """uniform(0.5, 1) draw with its odd rows zeroed: the contiguous scan
-    leaves it to the exhaustive sweep (n = 30) or to sampling (n = 100)."""
+    """uniform(0.5, 1) draw with its odd rows zeroed: the scan drops them and
+    decides on the contiguous cells of the even rows."""
     m = np.random.default_rng(0).uniform(0.5, 1.0, (n, n))
     m[1::2] = 0.0
     return m
 
 
 class TestPowerOfTwoScaling:
-    """The contiguous scan, the sweep and the sampler decide 2^k m as they
-    decide m."""
+    """The scan, the sweep and the sampler decide 2^k m as they decide m."""
 
     BASES = {"green": discretize(builtin_kernel("green_string"), 100).discretized,
              "planted": planted_green(), "zero_rows_30": zero_rows(30),
-             "zero_rows_100": zero_rows(100)}
+             "zero_rows_100": zero_rows(100), "slack_ramp_30": slack_ramp(30),
+             "slack_ramp_100": slack_ramp(100)}
     # verdict, mode, minors evaluated and witness position, at every k
     EXPECTED = {"green": (True, "exhaustive", 99 ** 2, None),
                 "planted": (False, "exhaustive", 99 ** 2, ((50, 51), (50, 51))),
-                "zero_rows_30": (False, "exhaustive", 3915, ((0, 4), (2, 26))),
-                "zero_rows_100": (False, "sampled", 2000, ((66, 94), (66, 89)))}
+                "zero_rows_30": (False, "exhaustive", 14 * 29, ((4, 6), (26, 27))),
+                "zero_rows_100": (False, "exhaustive", 49 * 99, ((54, 56), (34, 35))),
+                "slack_ramp_30": (False, "exhaustive", 3915, ((0, 9), (0, 29))),
+                "slack_ramp_100": (False, "sampled", 2000, ((9, 97), (0, 93)))}
 
     @pytest.mark.parametrize("k", [-600, -560, -530, -520, 0, 400, 500])
     @pytest.mark.parametrize("name", list(BASES))
@@ -336,12 +373,12 @@ class TestPinnedDrawStreams:
                                      300, "sampled")
 
     def test_order_two_above_budget(self):
-        # odd rows zeroed, so the contiguous scan leaves it to sampling; every
-        # draw is a 2x2 minor, since the order-1 certificate is exhaustive
-        m = np.random.default_rng(0).uniform(0.5, 1.0, (80, 80))
-        m[1::2] = 0.0
+        # Karlin's deficit is above tol and no cell is below the threshold,
+        # so the scan leaves it to sampling; every draw is a 2x2 minor, since
+        # the order-1 certificate is exhaustive
+        m = slack_ramp(80)
         _, cert = is_two_totally_nonnegative(m, budget=10_000, seed=1)
-        witness = MinorWitness((60, 66), (7, 46), -0.5806549814490426)
+        witness = MinorWitness((2, 68), (0, 76), -2.508000000012167e-06)
         assert cert == TNCertificate(2, False, witness, 2000, "sampled")
         assert len(witness.rows) == len(witness.cols) == 2
         assert witness.value == minor(m, witness.rows, witness.cols)
@@ -351,6 +388,8 @@ class TestOverflow:
     """Minors whose scale amax^j is not a finite float64 are refused."""
 
     M = random_oscillatory(6, seed=3)
+    # a^2 is a finite float64 and the minor -2 a^2 is not
+    A = 1.3e154
 
     def test_exhaustive(self):
         with pytest.raises(ValidationError, match="order-5 minors overflow float64"):
@@ -365,6 +404,24 @@ class TestOverflow:
             is_two_totally_nonnegative(2.0 ** 600 * self.M)
         with pytest.raises(ValidationError, match="order-2 minors overflow"):
             is_two_totally_nonnegative(2.0 ** 600 * self.M, budget=10)
+
+    def test_order_two_witness_from_the_scan(self):
+        a = self.A
+        with pytest.raises(ValidationError, match="order-2 minors overflow"):
+            is_two_totally_nonnegative([[-a, a], [a, a]])
+
+    @pytest.mark.parametrize("budget", [MINOR_BUDGET, 0])
+    def test_order_two_witness_from_the_sweep_and_sampler(self, budget):
+        # every cell is at least -a eps > -tol a^2 and (0, 0) is negative,
+        # so the scan leaves it to the sweep, or above the budget to the
+        # sampler; both find the minor on rows and columns (0, 2)
+        a, eps = self.A, 1e-12 * self.A
+        m = [[-a, eps, a], [eps, eps, eps], [a, eps, a]]
+        _, cert = is_two_totally_nonnegative(np.array(m) / a, budget=budget)
+        assert cert.mode == ("exhaustive" if budget else "sampled")
+        assert cert.witness == MinorWitness((0, 2), (0, 2), -2.0)
+        with pytest.raises(ValidationError, match="order-2 minors overflow"):
+            is_two_totally_nonnegative(m, budget=budget)
 
 
 class TestSignChanges:

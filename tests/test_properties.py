@@ -1,7 +1,8 @@
 """Property tests: analyze is invariant under transpose, reversal, scaling
 and positive diagonal similarity, its symmetric and general solver routes
-agree, its sign counts are those of the dense eigenvectors, and
-multiset_match pairs as many values as any matching within its threshold.
+agree, its sign counts are those of the dense eigenvectors, the order-2
+scan agrees with the exhaustive sweep, and multiset_match pairs as many
+values as any matching within its threshold.
 
 Draws are oscillatory matrices with n from 3 to 8; some have one exact zero
 replaced by a negative entry inside the tolerance (-c * tol * max|m|, c < 1),
@@ -13,6 +14,7 @@ hypothesis installed this module is skipped.
 """
 
 from itertools import permutations
+from math import frexp, ldexp
 
 import numpy as np
 import pytest
@@ -20,11 +22,14 @@ import pytest
 from wedgespec import (
     analyze,
     eigenpairs,
+    is_two_totally_nonnegative,
+    minor,
     multiset_match,
     random_oscillatory,
     random_tn,
     sign_changes,
 )
+from wedgespec.positivity import _contiguous_order_two, _order_sweep
 from wedgespec.spectra import DEFAULT_TOL
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -139,6 +144,61 @@ def test_gantmacher_krein_sign_changes(m):
         assert r.classification == "second_eigenvalue_found"
         assert r.sign_changes_e1.strict_count == 0
         assert r.sign_changes_e2.strict_count == 1
+
+
+@st.composite
+def zero_laden(draw):
+    """n <= 8: integer entries in 0..2, random_tn with a zeroed row, or
+    random_tn with one entry moved by a relative 1e-11..1e-7, which puts
+    some 2x2 minors in the slack band."""
+    n = draw(st.integers(2, 8))
+    kind = draw(st.sampled_from(["integers", "zero_row", "nudged"]))
+    if kind == "integers":
+        cells = draw(st.lists(st.integers(0, 2), min_size=n * n, max_size=n * n))
+        return np.array(cells, dtype=float).reshape(n, n)
+    m = random_tn(n, seed=draw(st.integers(0, 2 ** 16)), factors=draw(st.integers(1, 3 * n)))
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    if kind == "zero_row":
+        m[i] = 0.0
+    else:
+        m[i, j] *= 1.0 + draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-11, -7))
+    return m
+
+
+def _cells(m):
+    """Brute-force cell list of the scan: adjacent nonzero rows f, h and
+    consecutive columns among those where (f, h) is not (0, 0)."""
+    rows = [r for r in m if r.any()]
+    out = []
+    for f, h in zip(rows, rows[1:]):
+        cols = [j for j in range(m.shape[1]) if f[j] or h[j]]
+        out += [(f[j], f[l], h[j], h[l]) for j, l in zip(cols, cols[1:])]
+    return out
+
+
+@hypothesis.settings(max_examples=400)
+@given(zero_laden())
+def test_order_two_scan_agrees_with_the_sweep(m):
+    amax = float(np.abs(m).max())
+    frac, e = frexp(amax)
+    cert = _contiguous_order_two(m, frac, e, DEFAULT_TOL)
+    witness, _ = _order_sweep(m, 2, -DEFAULT_TOL * amax ** 2)
+    cells = _cells(m)
+    deficit = sum(1.0 - a * d / (b * c) for a, b, c, d in cells if a * d < b * c)
+    if cert is not None:
+        assert cert.verdict == (witness is None)
+        assert (cert.mode, cert.minors_evaluated) == ("exhaustive", len(cells))
+        if cert.witness is not None:
+            w = cert.witness
+            assert ldexp(w.value, e) == minor(m, w.rows, w.cols)
+    elif m.min() >= 0.0:
+        # undecided on nonnegative input only above tol (up to rounding)
+        assert deficit > 0.5 * DEFAULT_TOL
+    _, public = is_two_totally_nonnegative(m)
+    assert public.verdict == (witness is None)
+    if public.witness is not None:
+        w = public.witness
+        assert w.value == minor(m, w.rows, w.cols)
 
 
 def _most_pairs(a, b, thresh):
