@@ -13,9 +13,10 @@ rho(wedge) = |theta_1 theta_2| comes from the two leading Ritz values theta
 of a subspace iteration on the matrix at every size, for a real and a
 complex lambda2 alike; no exterior square is built. Whatever the
 classification, it must equal lambda1 |lambda2| from the dense spectrum
-within ``residual_tol``. That spectrum comes first, from one n x n
+within ``residual_tol``. That spectrum comes first, from one
 ``spectra.eigenvalues`` solve (the symmetric solver on exactly symmetric
-input, every kernel grid, and the general one otherwise), and its moduli
+input, every kernel grid, split into two half-size solves where the matrix
+equals its reversal, and the general one otherwise), and its moduli
 plan the iteration: its column count, its first steps and its budget.
 lambda1 comes from that solve, the same iteration checks it with
 |theta_1|, and its two leading Ritz vectors stand for e1 and e2 in the

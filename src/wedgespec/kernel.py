@@ -4,8 +4,10 @@ second-associated-kernel evaluation, and sampled kernel nonnegativity checks.
 Builtin kernels live on the unit interval. The discretization is the
 symmetrized quadrature matrix B[i, j] = sqrt(w_i) k(t_i, t_j) sqrt(w_j),
 which is diagonally similar to the plain weighted matrix k(t_i, t_j) w_j
-and therefore has the same spectrum, while keeping symmetric kernels
-symmetric for the eigensolver.
+and therefore has the same spectrum. It is formed as
+(sqrt(w_i) sqrt(w_j)) k(t_i, t_j), so a symmetric kernel gives an exactly
+symmetric matrix under every rule and for any tabulated nodes, and the
+eigensolver takes its symmetric route.
 """
 
 import json
@@ -211,6 +213,8 @@ def discretize(spec, n, rule="midpoint"):
     Returns
     -------
     KernelGrid
+        Its ``discretized`` matrix is exactly symmetric wherever the sampled
+        values are, whatever the weights.
     """
     n = _check_int(n, "grid size n", 2)
     if rule not in ("midpoint", "trapezoid"):
@@ -244,8 +248,10 @@ def discretize(spec, n, rule="midpoint"):
     if abs(float(weights.sum()) - 1.0) > 1e-12:
         raise ValidationError("quadrature weights must sum to the domain length 1")
     sw = np.sqrt(weights)
-    discretized = sw[:, None] * values
-    discretized *= sw[None, :]
+    # (sw_i sw_j) v_ij is symmetric in i and j bit for bit where v is, which
+    # (sw_i v_ij) sw_j is not for unequal weights
+    discretized = np.multiply.outer(sw, sw)
+    discretized *= values
     return KernelGrid(nodes=nodes, weights=weights, values=values, discretized=discretized)
 
 

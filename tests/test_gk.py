@@ -297,7 +297,7 @@ class TestAnalyzeProperties:
         # more ties at |lambda2| than the six start columns; the dense
         # moduli widen the iteration to all n columns, an invariant span, on
         # the single route (see TestSingleRoute)
-        r = single_route(np.roll(np.eye(n), 1, axis=0))
+        r = single_route(np.roll(np.eye(n), 1, axis=0), [("eigvals", n)])
         assert abs(r.spectrum[1].imag) > 1e-8  # complex second eigenvalue
         assert r.classification == CLASS_COMPLEX_PAIR
         assert r.circle_count == n
@@ -858,7 +858,8 @@ class TestOrthonormalization:
 def single_route(monkeypatch, iterations):
     """Make the exterior square and ``eigenpairs`` raise wherever ``analyze``
     could reach them, and record the dense solves; check on return that one
-    call made one eigvals or eigvalsh solve and one converged iteration."""
+    call made the ``dense`` solves, as (name, size) pairs, and one converged
+    iteration."""
     import wedgespec.gk as gkmod
     import wedgespec.spectra as spectramod
 
@@ -868,32 +869,43 @@ def single_route(monkeypatch, iterations):
     monkeypatch.setattr(gkmod.compound, "exterior_square", refuse)
     monkeypatch.setattr(spectramod, "eigenpairs", refuse)
 
-    def run(m):
-        solves = _count_solvers(monkeypatch, n=len(m))
+    def run(m, dense):
+        n = len(m)
+        solves = _count_solvers(monkeypatch, sizes=True)
         r = analyze(m)
         [[steps, ok]] = iterations
+        assert ok and [s for s in solves if s[0] != "eig"] == dense
         # with p = n columns each Ritz step's eig is n x n as well
-        assert ok and solves[0] in ("eigvals", "eigvalsh")
-        assert solves[1:] in ([], ["eig"] * steps)
+        assert [s for s in solves if s == ("eig", n)] in ([], [("eig", n)] * steps)
         return r
 
     return run
 
 
+def _grid_solves(name, n):
+    """The dense solves of a grid: green_string and gaussian grids equal
+    their reversal and split into even and odd halves; cauchy's does not."""
+    if name == "cauchy":
+        return [("eigvalsh", n)]
+    return [("eigvalsh", n - n // 2), ("eigvalsh", n // 2)]
+
+
 class TestSingleRoute:
-    # every analyze makes one dense solve and one Ritz iteration: there is no
+    # every analyze makes one dense solve of m (split into two half-size
+    # solves where m equals its reversal) and one Ritz iteration: there is no
     # exterior square and no eigenpairs call to fall back on
-    @pytest.mark.parametrize("m, classification", [
-        (THREE_CYCLE, CLASS_COMPLEX_PAIR),
-        (_one_and_four_rotations(), CLASS_VIOLATED),
-        (_bipartite(200), CLASS_MULTIPLE),
-        *((discretize(builtin_kernel(name), n).discretized, CLASS_SECOND)
+    @pytest.mark.parametrize("m, classification, dense", [
+        (THREE_CYCLE, CLASS_COMPLEX_PAIR, [("eigvals", 3)]),
+        (_one_and_four_rotations(), CLASS_VIOLATED, [("eigvals", 9)]),
+        (_bipartite(200), CLASS_MULTIPLE, [("eigvalsh", 400)]),
+        *((discretize(builtin_kernel(name), n).discretized, CLASS_SECOND,
+           _grid_solves(name, n))
           for name in ("green_string", "gaussian", "cauchy") for n in (46, 200)),
     ], ids=["three-cycle", "two-and-rotations", "bipartite-400",
             *(f"{name}-{n}" for name in ("green_string", "gaussian", "cauchy")
               for n in (46, 200))])
-    def test_no_dense_fallback(self, m, classification, single_route):
-        r = single_route(m)
+    def test_no_dense_fallback(self, m, classification, dense, single_route):
+        r = single_route(m, dense)
         assert r.classification == classification
         assert r.residual_theorem3 <= DEFAULT_RESIDUAL_TOL
 

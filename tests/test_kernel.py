@@ -119,6 +119,22 @@ class TestDiscretize:
         w = eigenvalues(g.discretized)
         assert np.abs(w.imag).max() <= 1e-10
 
+    @pytest.mark.parametrize("n", [2, 3, 11, 300])
+    @pytest.mark.parametrize("rule", ["midpoint", "trapezoid"])
+    @pytest.mark.parametrize("name", ["green_string", "gaussian", "cauchy"])
+    def test_builtin_grids_are_exactly_symmetric(self, name, rule, n):
+        # sqrt(w_i) sqrt(w_j) is formed before the kernel value, so unequal
+        # trapezoid weights keep the grid symmetric bit for bit
+        m = discretize(builtin_kernel(name), n, rule).discretized
+        assert np.array_equal(m, m.T)
+
+    def test_tabulated_grid_off_a_power_of_two_is_exactly_symmetric(self):
+        # the cell widths of 300 midpoints are not all equal in floating point
+        t = (np.arange(300) + 0.5) / 300
+        g = discretize(tabulated_kernel(np.exp(-2.0 * np.abs(t[:, None] - t))), 300)
+        assert len(set(g.weights.tolist())) > 1
+        assert np.array_equal(g.discretized, g.discretized.T)
+
     def test_constant_kernel_rank_one(self):
         spec = tabulated_kernel(np.ones((30, 30)))
         g = discretize(spec, 30)

@@ -1,5 +1,5 @@
-"""Peak numpy memory of analyze, of the order-2 certificate and of the
-exterior square.
+"""Peak numpy memory of analyze, of the dense eigenvalues, of the order-2
+certificate and of the exterior square.
 
 tracemalloc sees every buffer numpy allocates (not LAPACK's workspace), so
 the peak of one steady-state call counts the n x n temporaries a stage
@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from wedgespec import analyze, builtin_kernel, discretize, exterior_square
+from wedgespec import analyze, builtin_kernel, discretize, eigenvalues, exterior_square
 from wedgespec.positivity import is_two_totally_nonnegative
 
 N = 300
@@ -41,6 +41,13 @@ def test_analyze_holds_at_most_two_and_a_half_squares(grid):
     # the input is validated in place, not copied by each layer, and the
     # dense solve returns eigenvalues only
     assert _peak_squares(analyze, grid) <= 2.5
+
+
+def test_eigenvalues_hold_at_most_one_square(grid):
+    # the even and odd blocks are formed in three quarter-size buffers, and
+    # cauchy's are dropped for the departure from its reversal before the
+    # whole solve
+    assert _peak_squares(eigenvalues, grid) <= 1.0
 
 
 def test_order_two_certificate_holds_at_most_three_squares(grid):

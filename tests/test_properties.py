@@ -1,6 +1,8 @@
 """Property tests: analyze is invariant under transpose, reversal, scaling
 and positive diagonal similarity, its symmetric and general solver routes
-agree, its sign counts are those of the dense eigenvectors, the order-2
+agree, a matrix near its reversal splits into even and odd halves within
+the bound on its departure, its sign counts are those of the dense
+eigenvectors, the order-2
 scan agrees with the exhaustive sweep, and multiset_match pairs as many
 values as any matching within its threshold.
 
@@ -22,6 +24,7 @@ import pytest
 from wedgespec import (
     analyze,
     eigenpairs,
+    eigenvalues,
     is_two_totally_nonnegative,
     minor,
     multiset_match,
@@ -30,7 +33,7 @@ from wedgespec import (
     sign_changes,
 )
 from wedgespec.positivity import _contiguous_order_two, _order_sweep
-from wedgespec.spectra import DEFAULT_TOL
+from wedgespec.spectra import _ITERATION_TARGET, DEFAULT_TOL, _even_odd_blocks
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -144,6 +147,42 @@ def test_gantmacher_krein_sign_changes(m):
         assert r.classification == "second_eigenvalue_found"
         assert r.sign_changes_e1.strict_count == 0
         assert r.sign_changes_e2.strict_count == 1
+
+
+@st.composite
+def near_centrosymmetric(draw):
+    """(m, r): a symmetric m = c + d with c = J c J, J the reversal, and a
+    symmetric d = -J d J of ||d||_F = r ||c||_F, n from 2 to 12."""
+    n = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    b, q = (rng.standard_normal((n, n)) for _ in range(2))
+    c = b + b.T
+    c += c[::-1, ::-1]
+    d = q + q.T
+    d -= d[::-1, ::-1]
+    r = draw(st.sampled_from([0.0, 1e-16, 1e-15, 1e-14, 5e-14, 2e-13, 1e-12, 1e-6]))
+    d *= r * np.linalg.norm(c) / np.linalg.norm(d)
+    return c + d, r
+
+
+@given(near_centrosymmetric())
+def test_split_route_within_its_bound(case):
+    # the even/odd split is taken below half the bound _ITERATION_TARGET *
+    # ||c||_F and not past twice it; either way no eigenvalue moves by more
+    # than ||d||_2 (Weyl) plus rounding
+    m, r = case
+    assert np.array_equal(m, m.T)
+    split = _even_odd_blocks(m) is not None
+    if r >= 2.0 * _ITERATION_TARGET:
+        assert not split
+    elif r <= 0.5 * _ITERATION_TARGET:
+        assert split
+    values = eigenvalues(m)
+    assert not values.imag.any()
+    gap = np.abs(np.sort(values.real) - np.linalg.eigvalsh(m)).max()
+    assert gap <= (r + 16 * np.finfo(float).eps) * np.linalg.norm(m)
+    w, v = eigenpairs(m)  # raises past tol * ||m||_F
+    np.testing.assert_allclose(v.T @ v, np.eye(len(m)), rtol=0, atol=1e-13)
 
 
 @st.composite

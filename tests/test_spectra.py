@@ -7,7 +7,10 @@ from wedgespec import (
     ConvergenceError,
     DegeneratePerronError,
     ValidationError,
+    analyze,
     as_dense_matrix,
+    builtin_kernel,
+    discretize,
     eigenpairs,
     eigenvalues,
     multiset_match,
@@ -105,16 +108,16 @@ class TestEigenpairs:
         np.testing.assert_array_equal(w, eigenvalues(m))
 
 
-def _count_solvers(monkeypatch, n=None, of=None):
+def _count_solvers(monkeypatch, n=None, of=None, sizes=False):
     """Record, by name, every dense numpy eigensolver call, or only those on
     n x n input when ``n`` is given, or only those on the array ``of`` itself
-    when it is given."""
+    when it is given; with ``sizes``, record (name, size) pairs."""
     calls = []
 
     def counted(name, inner):
         def solve(a):
             if (n is None or len(a) == n) and (of is None or a is of):
-                calls.append(name)
+                calls.append((name, len(a)) if sizes else name)
             return inner(a)
         return solve
 
@@ -185,6 +188,139 @@ class TestSymmetricRoute:
         monkeypatch.setattr(np.linalg, "eigvalsh", fails)
         with pytest.raises(ConvergenceError, match="no convergence"):
             eigenvalues(_symmetric(4, 2))
+
+
+def _centrosymmetric(n, seed):
+    """A random symmetric m with m == J m J exactly, J the reversal."""
+    b = _symmetric(n, seed)
+    return b + b[::-1, ::-1]
+
+
+def _grid(name, n, rule="midpoint"):
+    return discretize(builtin_kernel(name), n, rule).discretized
+
+
+def _halves(n):
+    return [("eigvalsh", n - n // 2), ("eigvalsh", n // 2)]
+
+
+# both sides of a value comparison carry the rounding of a symmetric solve;
+# measured up to 6.3 eps ||m||_F on random centrosymmetric draws
+_SPLIT_AGREEMENT = 16 * np.finfo(float).eps
+
+SPLIT_INPUTS = [
+    *(pytest.param(n, id=f"centrosymmetric-{n}") for n in (2, 3, 4, 5)),
+    *(pytest.param((name, n, rule), id=f"{name}-{rule}-{n}")
+      for name in ("green_string", "gaussian") for rule in ("midpoint", "trapezoid")
+      for n in (46, 47, 200)),
+]
+
+
+def _split_input(spec):
+    return _centrosymmetric(spec, spec) if isinstance(spec, int) else _grid(*spec)
+
+
+class TestEvenOddRoute:
+    # a symmetric m that equals its reversal J m J up to rounding splits into
+    # even and odd blocks of sizes ceil(n/2) and floor(n/2); any size splits
+    @pytest.mark.parametrize("spec", SPLIT_INPUTS)
+    def test_values_split_into_halves_and_agree_with_eigvalsh(self, spec, monkeypatch):
+        m = _split_input(spec)
+        n = len(m)
+        reference = np.linalg.eigvalsh(m)
+        calls = _count_solvers(monkeypatch, sizes=True)
+        values = eigenvalues(m)
+        assert calls == _halves(n)
+        assert not values.imag.any()
+        np.testing.assert_allclose(np.sort(values.real), reference, rtol=0,
+                                   atol=_SPLIT_AGREEMENT * np.linalg.norm(m))
+
+    @pytest.mark.parametrize("spec", SPLIT_INPUTS)
+    def test_pairs_are_solved_whole(self, spec, monkeypatch):
+        # vectors are never split: those of c = (m + J m J) / 2 may miss the
+        # residual check against m at a tol below the split's bound
+        m = _split_input(spec)
+        n = len(m)
+        calls = _count_solvers(monkeypatch, sizes=True)
+        w, v = eigenpairs(m)
+        assert calls == [("eigh", n)]
+        np.testing.assert_allclose(v.T @ v, np.eye(n), rtol=0, atol=1e-13)
+        residual = np.linalg.norm(m @ v - v * w, axis=0).max()
+        assert residual <= 1e-13 * np.linalg.norm(m)
+
+    def test_pairs_hold_a_tol_below_the_split_bound(self, monkeypatch):
+        # m = c + d with d = -J d J at 5e-14 ||c||_F: the values split, and
+        # the whole eigh keeps the residual of every pair near eps ||m||_F
+        c = _centrosymmetric(4, 3)
+        d = np.zeros((4, 4))
+        d[1, 1], d[2, 2] = 1.0, -1.0
+        m = c + 5e-14 * np.linalg.norm(c) / np.linalg.norm(d) * d
+        assert np.array_equal(m, m.T)
+        calls = _count_solvers(monkeypatch, sizes=True)
+        eigenvalues(m)
+        w, v = eigenpairs(m, tol=1e-14)
+        assert calls == [*_halves(4), ("eigh", 4)]
+        assert np.linalg.norm(m @ v - v * w, axis=0).max() <= 1e-14 * np.linalg.norm(m)
+
+    @pytest.mark.parametrize("departure, split", [(1.1e-13, False), (0.9e-13, True)])
+    @pytest.mark.parametrize(
+        "n, i, j", [(40, 0, 0), (40, 1, 2), (40, 1, 30), (41, 1, 20)],
+        ids=["corner", "top-left", "top-right", "middle-column"])
+    def test_departure_from_the_reversal_decides(self, n, i, j, departure, split,
+                                                 monkeypatch):
+        # a symmetric p with J p J = -p leaves c = (m + J m J) / 2 alone and
+        # is all of m - c; the norm test decides at 0.9 and 1.1 times its
+        # bound, wherever p sits
+        m = _grid("gaussian", n)
+        p = np.zeros_like(m)
+        p[i, j] = p[j, i] = 1.0
+        p -= p[::-1, ::-1]
+        nudged = m + departure * np.linalg.norm(m) / np.linalg.norm(p) * p
+        assert np.array_equal(nudged, nudged.T)
+        calls = _count_solvers(monkeypatch, sizes=True)
+        eigenvalues(nudged)
+        assert calls == (_halves(n) if split else [("eigvalsh", n)])
+
+    @pytest.mark.parametrize("rule", ["midpoint", "trapezoid"])
+    def test_cauchy_grid_is_solved_whole(self, rule, monkeypatch):
+        # a Hankel kernel, 1 / (t + s): far from its reversal
+        m = _grid("cauchy", 250, rule)
+        calls = _count_solvers(monkeypatch, sizes=True)
+        eigenvalues(m)
+        assert calls == [("eigvalsh", 250)]
+
+    def test_centrosymmetric_input_that_is_not_symmetric_is_not_split(self, monkeypatch):
+        b = np.random.default_rng(5).standard_normal((7, 7))
+        m = b + b[::-1, ::-1]
+        assert np.array_equal(m, m[::-1, ::-1]) and not np.array_equal(m, m.T)
+        calls = _count_solvers(monkeypatch, sizes=True)
+        eigenvalues(m)
+        eigenpairs(m)
+        assert calls == [("eigvals", 7), ("eig", 7)]
+
+    @pytest.mark.parametrize("n", [46, 47])
+    @pytest.mark.parametrize("k", [-600, 600, 1000])
+    def test_exact_power_of_two_scaling(self, n, k):
+        # the blocks are formed on m * 2^-e, so 2^k m gives the same blocks;
+        # eigvalsh on 2^-600 m itself is not exact
+        m = _grid("gaussian", n)
+        np.testing.assert_array_equal(eigenvalues(np.ldexp(m, k)),
+                                      np.ldexp(eigenvalues(m).real, k))
+
+    @pytest.mark.parametrize("n", [46, 47])
+    def test_reversed_grid_reports_the_same_spectrum_bit_for_bit(self, n):
+        # m and J m J have the same centrosymmetric part, and the blocks are
+        # summed so that both give it bit for bit
+        m = _grid("gaussian", n)
+        assert analyze(m[::-1, ::-1]).spectrum == analyze(m).spectrum
+
+    def test_block_solver_failure_is_a_convergence_error(self, monkeypatch):
+        def fails(a):
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fails)
+        with pytest.raises(ConvergenceError, match="no convergence"):
+            eigenvalues(_centrosymmetric(6, 0))
 
 
 class TestSpectralRadius:
