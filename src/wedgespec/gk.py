@@ -13,7 +13,9 @@ rho(wedge) = |theta_1 theta_2| comes from the two leading Ritz values theta
 of a subspace iteration on the matrix at every size, for a real and a
 complex lambda2 alike; no exterior square is built. Whatever the
 classification, it must equal lambda1 |lambda2| from the dense spectrum
-within ``residual_tol``. That spectrum comes first, from one
+within ``residual_tol`` * lambda1^2. Both routes read c = m 2^-e, the exact
+scaling that puts max|c| in [0.5, 1), and each reported number is scaled
+back once. That spectrum comes first, from one
 ``spectra.eigenvalues`` solve (the symmetric solver on exactly symmetric
 input, every kernel grid, split into two half-size solves where the matrix
 equals its reversal, and the general one otherwise), and its moduli
@@ -38,6 +40,7 @@ from .spectra import (
     DEFAULT_TOL,
     _check_tol,
     _ritz_iteration,
+    _unscaled,
     as_dense_matrix,
     eigenvalues,
     multiset_match,
@@ -69,12 +72,17 @@ class GKReport:
     """Structured second-eigenvalue verdict for one matrix.
 
     ``lambda2`` is present exactly when the classification is
-    second_eigenvalue_found, in which case it is rho_wedge / lambda1 and the
-    cross-route discrepancy against the sorted spectrum is
-    ``residual_theorem3``. ``circle_count`` is the number of eigenvalues on
-    the spectral circle at relative tolerance ``circle_tol``; it is reported
+    second_eigenvalue_found, in which case it is rho_wedge / lambda1.
+    ``residual_theorem3`` is the cross-route discrepancy
+    |rho_wedge - lambda1 |lambda2|| / lambda1^2, with |lambda2| the second
+    modulus of the sorted spectrum; it is 0.0 where a degenerate lambda1
+    squares to zero. ``circle_count`` is the number of eigenvalues on the
+    spectral circle at relative tolerance ``circle_tol``; it is reported
     separately so that a conjugate pair and a multiple leading eigenvalue
-    both stay visible.
+    both stay visible. The report of 2^k m is that of m with lambda1,
+    lambda2, the spectrum and the complex pair times 2^k, rho_wedge times
+    4^k and each order-j witness times 2^(j k), bit for bit wherever the
+    numbers of the report of m are normal floats.
     """
 
     lambda1: float
@@ -182,9 +190,10 @@ def _wedge_radius(m, moduli):
     Ritz values converge to lambda1 and lambda2, real or complex;
     rho(wedge) = |theta_1 theta_2| and lambda1 = |theta_1|. They and the two
     Ritz vectors are exact for a backward perturbation of ``m`` of
-    t ||m||_F, t = ``_ITERATION_TARGET``, and the radius of 2^k m is
-    exactly 4^k times that of m. ConvergenceError is raised when the budget
-    runs out, as on a Jordan block, whose Ritz values do not settle.
+    t ||m||_F, t = ``_ITERATION_TARGET``. ``m`` is read as given: ``analyze``
+    passes its scaled c, as the iteration's precondition asks, and scales
+    the numbers back itself. ConvergenceError is raised when the budget runs
+    out, as on a Jordan block, whose Ritz values do not settle.
     """
     p, s = _wedge_plan(moduli)
     budget = 4 * s + 20
@@ -208,6 +217,15 @@ def analyze(m, tol=DEFAULT_TOL, circle_tol=DEFAULT_CIRCLE_TOL,
     Ritz vectors, which carry its backward error of 1e-13 ||m||_F; no dense
     eigenvector is computed.
 
+    The certificates read m; the dense solve and the iteration read
+    c = m 2^-e, the exact scaling that puts max|c| in [0.5, 1), and every
+    threshold and cross-check compares numbers in those units. lambda1,
+    lambda2, rho_wedge and the spectrum are scaled back once, as they are
+    reported, so 2^k m gets the report of m scaled. The one refusal of scale
+    is a reported number that does not fit in float64: ValidationError when
+    lambda1 or rho_wedge overflows (rho_wedge of 2^k random_oscillatory(6, 3)
+    does from k = 511).
+
     Parameters
     ----------
     m : array_like
@@ -223,9 +241,10 @@ def analyze(m, tol=DEFAULT_TOL, circle_tol=DEFAULT_CIRCLE_TOL,
         of the report.
     residual_tol : float
         A finite positive cap on ``residual_theorem3``, the discrepancy
-        between rho_wedge and lambda1 |lambda2| from the dense spectrum,
-        before the result is refused as numerically inconsistent; checked
-        for every classification but degenerate_rho_zero.
+        between rho_wedge and lambda1 |lambda2| from the dense spectrum
+        relative to lambda1^2, before the result is refused as numerically
+        inconsistent; checked for every classification but
+        degenerate_rho_zero.
     seed : int
         A nonnegative integer, checked even when unused: the seed of the
         sampled order-2 hypothesis check. The scan of adjacent nonzero rows
@@ -247,37 +266,46 @@ def analyze(m, tol=DEFAULT_TOL, circle_tol=DEFAULT_CIRCLE_TOL,
     if m.shape[0] < 2:
         raise ValidationError("analysis needs dimension n >= 2")
     n = m.shape[0]
-    amax = float(np.abs(m).max())
 
     cert1, cert2 = is_two_totally_nonnegative(m, tol, seed=seed)
     hypotheses_ok = cert1.verdict and cert2.verdict
 
-    spectrum = eigenvalues(m)
+    # every spectral number is read on c = m 2^-e, max|c| = frac in [0.5, 1),
+    # and compared in those units; the reported ones are scaled back once
+    frac, e = math.frexp(float(np.abs(m).max()))
+    c = np.ldexp(m, -e)
+    spectrum = eigenvalues(c)
     moduli = np.abs(spectrum)
-    rho_wedge, lam_w, vectors = _wedge_radius(m, moduli)
+    rho_wedge, lam_w, vectors = _wedge_radius(c, moduli)
     lambda1 = float(moduli[0])
-    degenerate = lambda1 <= tol * amax
+    degenerate = lambda1 <= tol * frac
 
     if not degenerate and abs(lam_w - lambda1) > 1e-6 * lambda1:
         raise ConvergenceError(
-            f"subspace iteration ({lam_w:.12g}) and the dense solve "
-            f"({lambda1:.12g}) disagree on the spectral radius"
+            f"subspace iteration and the dense solve disagree on the spectral "
+            f"radius: |theta_1| / lambda1 = {lam_w / lambda1:.12g}"
         )
-    residual = abs(rho_wedge - lambda1 * float(moduli[1])) / max(1.0, rho_wedge)
+    # relative to lambda1^2; 0.0 where that rounds to zero, which takes a
+    # lambda1 below 1e-154, degenerate at any tol above that
+    square = lambda1 * lambda1
+    residual = abs(rho_wedge - lambda1 * float(moduli[1])) / square if square else 0.0
+    shown_lambda1 = _unscaled(lambda1, e, "the eigenvalues")
+    shown_rho = _unscaled(rho_wedge, 2 * e, "the exterior-square eigenvalues")
+    shown = np.ldexp(spectrum.view(float), e).view(complex)  # each |part| <= lambda1
 
     def build(classification, lambda2=None, complex_pair=None, s1=None, s2=None,
               circle_count=0):
         return GKReport(
-            lambda1=float(lambda1),
-            lambda2=lambda2,
+            lambda1=shown_lambda1,
+            lambda2=None if lambda2 is None else math.ldexp(lambda2, e),
             complex_pair=complex_pair,
             classification=classification,
-            rho_wedge=float(rho_wedge),
-            residual_theorem3=float(residual),
+            rho_wedge=shown_rho,
+            residual_theorem3=residual,
             sign_changes_e1=s1,
             sign_changes_e2=s2,
             hypothesis_certificates=(cert1, cert2),
-            spectrum=tuple(complex(z) for z in spectrum),
+            spectrum=tuple(complex(z) for z in shown),
             circle_count=circle_count,
             circle_tol=circle_tol,
             tolerance=tol,
@@ -289,9 +317,9 @@ def analyze(m, tol=DEFAULT_TOL, circle_tol=DEFAULT_CIRCLE_TOL,
     # route and the dense spectrum must agree whatever the classification.
     if residual > residual_tol:
         raise ConvergenceError(
-            f"the two routes to the second eigenvalue disagree: "
-            f"rho_wedge/lambda1 = {rho_wedge / lambda1:.12g} vs sorted modulus "
-            f"{float(moduli[1]):.12g} (residual {residual:.3e} > {residual_tol:g})"
+            f"the two routes to the second eigenvalue disagree: rho_wedge / lambda1^2 "
+            f"= {rho_wedge / square:.12g} vs sorted |lambda2| / lambda1 = "
+            f"{moduli[1] / lambda1:.12g} (residual {residual:.3e} > {residual_tol:g})"
         )
 
     on_circle = moduli >= lambda1 * (1.0 - circle_tol)
@@ -309,12 +337,11 @@ def analyze(m, tol=DEFAULT_TOL, circle_tol=DEFAULT_CIRCLE_TOL,
             signs2 = sign_changes(vectors[:, 1], tol)
 
     if circle_count > 1:
-        nonreal = [
-            complex(z) for z, hit in zip(spectrum, on_circle)
-            if hit and abs(z.imag) > circle_tol * lambda1
-        ]
-        if nonreal:
-            z = next(w for w in nonreal if w.imag > 0)
+        # the computed spectrum of a real matrix is closed under conjugation
+        upper = [w for z, w, hit in zip(spectrum, shown, on_circle)
+                 if hit and z.imag > circle_tol * lambda1]
+        if upper:
+            z = complex(upper[0])
             return build(CLASS_COMPLEX_PAIR, complex_pair=(z, z.conjugate()),
                          circle_count=circle_count)
         return build(CLASS_MULTIPLE, circle_count=circle_count)
@@ -326,10 +353,10 @@ def analyze(m, tol=DEFAULT_TOL, circle_tol=DEFAULT_CIRCLE_TOL,
     lambda2 = rho_wedge / lambda1
     if not 0.0 < lambda2 < lambda1:
         raise ConvergenceError(
-            f"computed second eigenvalue {lambda2:.12g} is outside (0, lambda1 = "
-            f"{lambda1:.12g}) despite a single eigenvalue on the circle"
+            f"computed lambda2 / lambda1 = {lambda2 / lambda1:.12g} is outside (0, 1) "
+            f"despite a single eigenvalue on the circle"
         )
-    return build(CLASS_SECOND, lambda2=float(lambda2), s1=signs1, s2=signs2,
+    return build(CLASS_SECOND, lambda2=lambda2, s1=signs1, s2=signs2,
                  circle_count=circle_count)
 
 

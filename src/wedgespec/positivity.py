@@ -1,9 +1,12 @@
 """Total-nonnegativity certification, sign-change counting, and random
 totally nonnegative / oscillatory test matrices.
 
-A minor of order j is compared against -tol * (max |entry|)^j, since minors
-scale like products of j entries; an absolute tolerance would misclassify
-scaled copies of the same matrix.
+Every minor is read on c = m 2^-e, the exact scaling that puts
+max|c| = frac in [0.5, 1), and an order-j minor is compared against
+-tol * frac^j, since minors scale like products of j entries; an absolute
+tolerance would misclassify scaled copies of the same matrix. Only a
+witness is scaled back, by 2^(j e) (``_reported``), and the one refusal is a
+witness that does not fit in float64.
 """
 
 from dataclasses import dataclass, replace
@@ -17,7 +20,7 @@ import numpy as np
 from .compound import _det_stack, _minor_blocks
 from .errors import GenerationError, ResourceLimitError, ValidationError, ZeroVectorError
 from .spectra import (DEFAULT_TOL, _check_int, _check_tol, _finite_vector, _negative_entry,
-                      as_dense_matrix)
+                      _unscaled, as_dense_matrix)
 
 # Exhaustive minor enumeration is refused above this many determinants.
 MINOR_BUDGET = 10_000_000
@@ -67,20 +70,16 @@ def _estimated_minors(n, k):
     return sum(comb(n, j) ** 2 for j in range(1, k + 1))
 
 
-def _threshold(amax, j, tol):
-    """The acceptance threshold -tol * amax^j for order-j minors.
-
-    Raises ValidationError when amax^j is not a finite float64: minors of
-    that order overflow too, and no verdict on them would mean anything.
-    """
-    try:
-        return -tol * amax ** j
-    except OverflowError:
-        raise _overflow(j, amax) from None
-
-
-def _overflow(j, amax):
-    return ValidationError(f"order-{j} minors overflow float64 (max |entry| = {amax:g})")
+def _reported(cert, e):
+    """``cert`` with its witness, an order-j minor of m 2^-e, scaled back by
+    2^(j e) to the minor of m. A witness that does not fit in float64 raises
+    ValidationError; one below the normal range rounds, down to -0.0, and its
+    rows and columns still name it."""
+    w = cert.witness
+    if w is None:
+        return cert
+    value = _unscaled(w.value, len(w.rows) * e, f"order-{len(w.rows)} minors")
+    return replace(cert, witness=replace(w, value=value))
 
 
 def _order_sweep(m, j, thresh):
@@ -104,28 +103,36 @@ def _sample_minors(table, first, order, rngs, tol):
     """Sampled certificate of a square table on minor orders first..order.
 
     Each generator in ``rngs`` draws one minor: an order j in first..order,
-    then increasing row and column sets of length j. The certificate keeps
-    the most negative minor below its threshold as the witness.
+    then increasing row and column sets of length j. Each minor is read on
+    its submatrix of table 2^-e, max|table| 2^-e = frac in [0.5, 1), and
+    compared against -tol * frac^j; the most negative one below its
+    threshold is the witness, scaled back by ``_reported``.
     """
     count = table.shape[0]
-    amax = float(np.abs(table).max())
+    frac, e = frexp(float(np.abs(table).max()))
     worst = None
     evaluated = 0
     for rng in rngs:
         j = int(rng.integers(first, order + 1))
-        thresh = _threshold(amax, j, tol)
         rows = tuple(sorted(rng.choice(count, size=j, replace=False).tolist()))
         cols = tuple(sorted(rng.choice(count, size=j, replace=False).tolist()))
-        val = float(_det_stack(table[np.ix_(rows, cols)][None, ...])[0])
+        val = float(_det_stack(np.ldexp(table[np.ix_(rows, cols)], -e)[None, ...])[0])
         evaluated += 1
-        if val < thresh and (worst is None or val < worst.value):
+        if val < -tol * frac ** j and (worst is None or val < worst.value):
             worst = MinorWitness(rows=rows, cols=cols, value=val)
-    return TNCertificate(order, worst is None, worst, evaluated, "sampled")
+    return _reported(TNCertificate(order, worst is None, worst, evaluated, "sampled"), e)
 
 
 def is_totally_nonnegative(m, k, tol=DEFAULT_TOL, budget=MINOR_BUDGET, sample=False,
                            samples=200, seed=0):
     """Certify that all minors of orders 1..k are nonnegative within tolerance.
+
+    Every minor is read on c = m 2^-e, the exact scaling that puts
+    max|c| = frac in [0.5, 1), in both modes, so 2^k m gets the verdict and
+    witness position of m. A witness is the minor of c scaled back once by
+    2^(j e) (``_reported``): one that does not fit in float64 raises
+    ValidationError, the one refusal of scale, and one below the normal
+    range rounds, down to -0.0, and is still reported.
 
     Parameters
     ----------
@@ -134,7 +141,8 @@ def is_totally_nonnegative(m, k, tol=DEFAULT_TOL, budget=MINOR_BUDGET, sample=Fa
     k : int
         Highest minor order to check, 1 <= k <= n.
     tol : float
-        Relative tolerance; order-j minors are accepted at >= -tol * amax^j.
+        Relative tolerance; order-j minors of c are accepted at
+        >= -tol * frac^j, that is minors of m at >= -tol * amax^j.
     budget : int
         Cap on the exhaustive determinant count, a nonnegative integer
         checked in both modes. When the estimate exceeds it and ``sample``
@@ -168,20 +176,21 @@ def is_totally_nonnegative(m, k, tol=DEFAULT_TOL, budget=MINOR_BUDGET, sample=Fa
             f"{estimate} determinants, above the budget of {budget}; "
             "use a smaller k or sample=True"
         )
-    amax = float(np.abs(m).max())
-    total = 0
+    frac, e = frexp(float(np.abs(m).max()))
+    c, total = np.ldexp(m, -e), 0
     for j in range(1, k + 1):
-        witness, evaluated = _order_sweep(m, j, _threshold(amax, j, tol))
+        witness, evaluated = _order_sweep(c, j, -tol * frac ** j)
         total += evaluated
         if witness is not None:
             break
-    return TNCertificate(k, witness is None, witness, total, "exhaustive")
+    return _reported(TNCertificate(k, witness is None, witness, total, "exhaustive"), e)
 
 
 def _contiguous_order_two(m, frac, e, tol):
     """Order-2 certificate from the 2x2 minors of adjacent nonzero rows on
     consecutive joint columns, or None when they do not decide. A witness
-    value is 2^-e times its minor.
+    value is 2^-2e times its minor, the minor of m 2^-e, as the sweep and
+    the sampler report theirs.
 
     Exactly zero rows are dropped. For each pair of adjacent remaining rows
     f above h, the joint columns are those where (f, h) is not (0, 0), and a
@@ -248,11 +257,13 @@ def _contiguous_order_two(m, frac, e, tol):
     bc *= c
     delta = np.ldexp(a, -e)
     delta *= d
-    delta -= bc
+    with np.errstate(over="ignore"):  # past the float range D is -inf: a witness refused
+        delta -= bc
     if delta.min(initial=0.0) < ldexp(-tol * frac * frac, e):
         t = np.unravel_index(int(np.argmin(delta)), delta.shape)
         p, lo, hi = (int(x[t]) for x in np.broadcast_arrays(p, lo, hi))
-        witness = MinorWitness((int(rows[p]), int(rows[p + 1])), (lo, hi), float(delta[t]))
+        witness = MinorWitness((int(rows[p]), int(rows[p + 1])), (lo, hi),
+                               ldexp(float(delta[t]), -e))
         return TNCertificate(2, False, witness, delta.size, "exhaustive")
     with np.errstate(all="ignore"):  # a zero bc has D >= 0: fmin takes its inf or nan to 0
         np.divide(delta, bc, out=delta)
@@ -280,9 +291,11 @@ def is_two_totally_nonnegative(m, tol=DEFAULT_TOL, budget=MINOR_BUDGET,
     exhaustively under the minor budget, and above the budget sampled with
     ``samples`` 2x2 minors from ``seed``; the certificate's mode says which.
     The sweep and the sampler read the minors of m 2^-e, the same exact
-    scaling. A witness is reported as the correctly rounded minor of ``m``,
-    and one that overflows float64 raises ValidationError. ``budget``,
-    ``samples`` and ``seed`` are checked on every call.
+    scaling, and all three give their witness in those units. It is scaled
+    back once by 2^(2e) (``_reported``) to the correctly rounded minor of
+    ``m``; one that does not fit in float64 raises ValidationError, the only
+    refusal of scale. ``budget``, ``samples`` and ``seed`` are checked on
+    every call.
     """
     m = as_dense_matrix(m)
     _check_tol(tol)
@@ -298,23 +311,14 @@ def is_two_totally_nonnegative(m, tol=DEFAULT_TOL, budget=MINOR_BUDGET,
     witness = None if neg is None else MinorWitness((neg[0],), (neg[1],), neg[2])
     cert1 = TNCertificate(1, neg is None, witness, n * n, "exhaustive")
 
-    _threshold(amax, 2, tol)  # refuses minors that overflow
     frac, e = frexp(amax)
-    cert2, shift = _contiguous_order_two(m, frac, e, tol), e
+    cert2 = _contiguous_order_two(m, frac, e, tol)
+    if cert2 is None and comb(n, 2) ** 2 > budget:
+        return cert1, _sample_minors(m, 2, 2, repeat(np.random.default_rng(seed), samples), tol)
     if cert2 is None:
-        scaled, shift = np.ldexp(m, -e), 2 * e
-        if comb(n, 2) ** 2 > budget:
-            cert2 = _sample_minors(scaled, 2, 2, repeat(np.random.default_rng(seed), samples), tol)
-        else:
-            witness, evaluated = _order_sweep(scaled, 2, -tol * frac * frac)
-            cert2 = TNCertificate(2, witness is None, witness, evaluated, "exhaustive")
-    w = cert2.witness
-    if w is not None:
-        try:
-            cert2 = replace(cert2, witness=replace(w, value=ldexp(w.value, shift)))
-        except OverflowError:
-            raise _overflow(2, amax) from None
-    return cert1, cert2
+        witness, evaluated = _order_sweep(np.ldexp(m, -e), 2, -tol * frac * frac)
+        cert2 = TNCertificate(2, witness is None, witness, evaluated, "exhaustive")
+    return cert1, _reported(cert2, e)
 
 
 def sign_changes(v, tol=DEFAULT_TOL):

@@ -166,6 +166,18 @@ def _frobenius(m):
     return float(np.linalg.norm(m / s)) * s
 
 
+def _unscaled(x, e, what):
+    """``x * 2^e``: a number read on a matrix scaled by an exact power of two,
+    scaled back once, where it is reported. ValidationError names ``what``
+    when that does not fit in float64, or when ``x`` itself overflowed; a
+    value below the normal range rounds, as any float does."""
+    with np.errstate(over="ignore"):
+        y = float(np.ldexp(x, e))
+    if math.isinf(y):
+        raise ValidationError(f"{what} overflow float64 ({x!r} * 2^{e})")
+    return y
+
+
 def _solver_failure(m, exc):
     norm = _frobenius(m)
     try:
@@ -315,6 +327,9 @@ def eigenpairs(m, tol=DEFAULT_TOL):
     w, v = _dense_solve(m, vectors=True)
     order = _spectrum_order(w)
     w, v = w[order], v[:, order]
+    # a value past the float range makes the residual NaN, which no test rejects
+    if not (np.isfinite(w).all() and np.isfinite(v).all()):
+        raise _solver_failure(m, "an eigenvalue or eigenvector is not finite")
     scale = max(_frobenius(m), np.finfo(float).tiny)
     # residuals relative to ||m||_F, whose squares cannot overflow
     worst = float(np.linalg.norm((m @ v - v * w[None, :]) / scale, axis=0).max())
@@ -359,13 +374,12 @@ def _ritz_iteration(a, q, max_iter, plain=0):
     accurate; (ii) waits for them to settle.
     converged is False when either still fails after ``max_iter`` steps.
 
-    The loop runs on a * 2^-e, with e the exponent that puts max|a| in
-    [0.5, 1), and scales the moduli back by 2^e. Both are exact, so 2^j a
-    gives the same q and 2^j times the moduli, and no norm can overflow.
+    Precondition: ``a`` is scaled, max|a| in [0.5, 1) or a zero a, so that no
+    norm can overflow or underflow. Callers pass m * 2^-e, an exact scaling,
+    and scale each reported number back themselves; 2^j m then gives the
+    same q, moduli and vectors.
     """
     lead = min(2, q.shape[1])
-    e = math.frexp(float(np.abs(a).max()))[1]  # 0 for a zero a
-    a = np.ldexp(a, -e)
     target = _ITERATION_TARGET * float(np.linalg.norm(a))
     for _ in range(plain):
         q = np.linalg.qr(a @ q)[0]
@@ -384,9 +398,9 @@ def _ritz_iteration(a, q, max_iter, plain=0):
             j = lead + (lead < w.size and w[1].imag > 0.0)
             r = np.dot(z, y[:, :j]) - np.dot(q, y[:, :j] * w[:j])
             if np.linalg.norm(r) <= target:
-                return np.ldexp(moduli, e), np.dot(q, y[:, :lead]), True
+                return moduli, np.dot(q, y[:, :lead]), True
         q = np.linalg.qr(z)[0]
-    return np.ldexp(moduli, e), None, False
+    return moduli, None, False
 
 
 def perron_pair(m, tol=DEFAULT_TOL, max_iter=None):
@@ -420,14 +434,22 @@ def perron_pair(m, tol=DEFAULT_TOL, max_iter=None):
     ------
     DegeneratePerronError
         If the spectral radius is numerically zero (nilpotent matrix).
+    ValidationError
+        If the spectral radius does not fit in float64. The iteration and
+        the fallback read the clipped matrix scaled by an exact power of
+        two, and only the root is scaled back.
     """
     m = as_dense_matrix(m)
     _check_tol(tol)
     n = m.shape[0]
     max_iter = 100 * n if max_iter is None else _check_int(max_iter, "max_iter", 1)
     require_nonnegative(m, tol)
+    # the clipped copy, scaled in place by the exact 2^-e that puts its
+    # maximum in [0.5, 1), is what every step reads; rho is scaled back once
     a = np.where(m < 0.0, 0.0, m)
-    scale = max(_frobenius(a), np.finfo(float).tiny)
+    e = math.frexp(float(a.max()))[1]  # 0 for a zero a
+    np.ldexp(a, -e, out=a)
+    scale = max(float(np.linalg.norm(a)), np.finfo(float).tiny)
 
     moduli, x, ok = _ritz_iteration(a, np.linalg.qr(np.ones((n, 1)))[0], max_iter)
     rho = float(moduli[0])
@@ -438,11 +460,12 @@ def perron_pair(m, tol=DEFAULT_TOL, max_iter=None):
         rho = float(np.abs(w[0]))
     if rho <= tol * scale:
         raise DegeneratePerronError(
-            f"spectral radius {rho:.3e} is below tol * ||m|| = {tol * scale:.3e}"
+            f"spectral radius {rho / scale:.3e} ||m||_F is below tol * ||m||_F, tol = {tol:g}"
         )
+    root = _unscaled(rho, e, "the eigenvalues")
     if ok:
         x = x[:, 0]
-        return rho, -x if x.sum() < 0.0 else x
+        return root, -x if x.sum() < 0.0 else x
     for k in range(n):
         if abs(w[k]) < rho * (1.0 - 10.0 * tol):
             break
@@ -456,10 +479,10 @@ def perron_pair(m, tol=DEFAULT_TOL, max_iter=None):
         if vec.sum() < 0.0:
             vec = -vec
         if float(vec.min()) >= -tol:
-            return rho, vec
+            return root, vec
     raise ConvergenceError(
         "no nonnegative eigenvector for the spectral radius was found in the "
-        f"computed eigenbasis (rho = {rho:.6g}); the eigenspace may need a "
+        f"computed eigenbasis (rho = {root:.6g}); the eigenspace may need a "
         "nonnegative recombination"
     )
 

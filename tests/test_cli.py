@@ -82,7 +82,8 @@ class TestAnalyze:
         path.write_text("\n".join(",".join(repr(float(x)) for x in row) for row in m) + "\n")
         code, out, err = run(capsys, "analyze", str(path))
         assert (code, out) == (2, "")
-        assert "order-2 minors overflow float64" in err
+        # the minors of m 2^-e certify it; rho_wedge = 4^600 rho does not fit
+        assert "the exterior-square eigenvalues overflow float64" in err
 
     @pytest.mark.parametrize("circle_tol", ["-1", "nan", "2"])
     def test_circle_tol_outside_unit_interval_exit_2(self, capsys, diag_csv, circle_tol):

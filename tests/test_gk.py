@@ -325,8 +325,41 @@ class TestAnalyzeProperties:
         assert r2.lambda2 == pytest.approx(c * r1.lambda2, rel=1e-9)
 
 
+    @pytest.mark.parametrize("k", [0, -20, -540])
+    def test_planted_wedge_error_is_refused_at_every_scale(self, k, monkeypatch):
+        # rho_wedge 1 % too large; the residual is relative to lambda1^2 and
+        # reads the same at every scale, where one floored at 1 passed it
+        # from 2^-20 down
+        import wedgespec.gk as gkmod
+
+        m = 2.0 ** k * random_oscillatory(6, seed=3)
+        assert analyze(m).classification == CLASS_SECOND
+        inner = gkmod._wedge_radius
+
+        def planted(a, moduli):
+            radius, lambda1, vectors = inner(a, moduli)
+            return 1.01 * radius, lambda1, vectors
+
+        monkeypatch.setattr(gkmod, "_wedge_radius", planted)
+        with pytest.raises(ConvergenceError, match="two routes"):
+            analyze(m)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n", [3, 6, 20])
+    def test_rank_one_keeps_its_classification(self, n, seed):
+        # lambda2 = 0, so rho_wedge is rounding noise: relative to rho_wedge
+        # the two routes would disagree, relative to lambda1^2 they agree
+        rng = np.random.default_rng(seed)
+        m = np.outer(rng.uniform(0.1, 2.0, n), rng.uniform(0.1, 2.0, n))
+        noisy = m + 1e-14 * np.abs(m).max() * rng.uniform(0.0, 1.0, (n, n))
+        for a in (m, noisy):
+            r = analyze(a)
+            assert r.classification == CLASS_VIOLATED
+            assert r.residual_theorem3 <= 1e-12
+
     def test_overflowing_minors_are_an_input_error(self):
-        with pytest.raises(ValidationError, match="order-2 minors overflow"):
+        with pytest.raises(ValidationError,
+                           match="the exterior-square eigenvalues overflow float64"):
             analyze(2.0 ** 600 * random_oscillatory(6, seed=3))
 
 
@@ -422,9 +455,10 @@ class TestPerronCheck:
 
     def test_general_input_solves_once_without_vectors(self, iterations, monkeypatch):
         # the wedge iteration runs on all 8 columns, so each of its Ritz steps
-        # solves an 8 x 8 q^T m q too; the dense solves of m itself are counted
+        # solves an 8 x 8 q^T m q too; the dense solves of m 2^-e, the scaled
+        # copy analyze reads, are counted
         m = random_oscillatory(8, seed=2)
-        solves = _count_solvers(monkeypatch, of=m)
+        solves = _count_solvers(monkeypatch, of=np.ldexp(m, -math.frexp(np.abs(m).max())[1]))
         r = analyze(m)
         assert r.classification == CLASS_SECOND
         assert [ok for _, ok in iterations] == [True]
@@ -552,9 +586,9 @@ class TestWedgeRadius:
 
     @pytest.mark.parametrize("k", [-500, -40, -8, 2, 40, 480])
     def test_exact_even_power_of_two_scaling(self, k):
+        # analyze reads the radius on m 2^-e, which 2^k m shares
         m = random_oscillatory(7, seed=11)
-        c = 2.0 ** k
-        assert _radius(c * m) == _radius(m) * c * c
+        assert analyze(2.0 ** k * m).rho_wedge == math.ldexp(analyze(m).rho_wedge, 2 * k)
 
     def test_three_cycle_takes_the_whole_space(self, monkeypatch):
         # every wedge eigenvalue of the 3-cycle has modulus 1, so two columns

@@ -1,8 +1,9 @@
 """Total-nonnegativity certificates, sign counting, and matrix generators."""
 
 import sys
+import warnings
 from itertools import combinations
-from math import comb, ldexp
+from math import comb, frexp, ldexp
 
 import numpy as np
 import pytest
@@ -128,14 +129,16 @@ class TestIsTotallyNonnegative:
         # tridiagonal d, 1, 1 with nonnegative off-diagonals: the first order
         # with a negative minor is the first k whose leading k x k minor is
         # negative. At n = 6 each order is gathered in one block, so the
-        # witness is the least entry of that compound.
+        # witness is the least entry of that compound of m 2^-e, scaled back.
         m = d * np.eye(6) + np.eye(6, k=1) + np.eye(6, k=-1)
         cert = is_totally_nonnegative(m, 4)
         w = cert.witness
         assert not cert.verdict and len(w.rows) == len(w.cols) == j
-        c = compound_matrix(m, j)
+        e = frexp(np.abs(m).max())[1]
+        c = compound_matrix(np.ldexp(m, -e), j)
         sets = list(combinations(range(6), j))
-        assert w.value == c.min() == c[sets.index(w.rows), sets.index(w.cols)]
+        assert w.value == ldexp(c.min(), j * e)
+        assert c.min() == c[sets.index(w.rows), sets.index(w.cols)]
         assert all(compound_matrix(m, i).min() >= 0.0 for i in range(1, j))
 
     @pytest.mark.parametrize("budget", ["x", None, True, -1, 2.5])
@@ -385,30 +388,43 @@ class TestPinnedDrawStreams:
 
 
 class TestOverflow:
-    """Minors whose scale amax^j is not a finite float64 are refused."""
+    """Minors are read on m 2^-e, so a matrix whose minors' scale amax^j is
+    not a finite float64 gets the verdict of m; only a witness that does not
+    fit in float64 is refused."""
 
     M = random_oscillatory(6, seed=3)
     # a^2 is a finite float64 and the minor -2 a^2 is not
     A = 1.3e154
 
     def test_exhaustive(self):
-        with pytest.raises(ValidationError, match="order-5 minors overflow float64"):
-            is_totally_nonnegative(2.0 ** 200 * self.M, 6)
+        cert = is_totally_nonnegative(2.0 ** 200 * self.M, 6)
+        assert cert == is_totally_nonnegative(self.M, 6)
+        assert (cert.verdict, cert.mode) == (True, "exhaustive")
 
     def test_sampled(self):
-        with pytest.raises(ValidationError, match="minors overflow float64"):
-            is_totally_nonnegative(2.0 ** 200 * self.M, 6, sample=True)
+        cert = is_totally_nonnegative(2.0 ** 200 * self.M, 6, sample=True)
+        assert cert == is_totally_nonnegative(self.M, 6, sample=True)
+        assert (cert.verdict, cert.mode) == (True, "sampled")
 
     def test_order_two(self):
-        with pytest.raises(ValidationError, match="order-2 minors overflow"):
-            is_two_totally_nonnegative(2.0 ** 600 * self.M)
-        with pytest.raises(ValidationError, match="order-2 minors overflow"):
-            is_two_totally_nonnegative(2.0 ** 600 * self.M, budget=10)
+        for budget in (MINOR_BUDGET, 10):
+            certs = is_two_totally_nonnegative(2.0 ** 600 * self.M, budget=budget)
+            assert certs == is_two_totally_nonnegative(self.M, budget=budget)
+            assert [c.verdict for c in certs] == [True, True]
 
     def test_order_two_witness_from_the_scan(self):
         a = self.A
         with pytest.raises(ValidationError, match="order-2 minors overflow"):
             is_two_totally_nonnegative([[-a, a], [a, a]])
+
+    def test_order_two_witness_past_the_scan_range(self):
+        # entries near the float maximum: the scan's D = (a 2^-e) d - bc is
+        # -inf itself, and is refused like a witness that overflows
+        a = 1.7e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="order-2 minors overflow"):
+                is_two_totally_nonnegative([[-a, a], [a, a]])
 
     @pytest.mark.parametrize("budget", [MINOR_BUDGET, 0])
     def test_order_two_witness_from_the_sweep_and_sampler(self, budget):

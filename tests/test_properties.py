@@ -1,5 +1,7 @@
 """Property tests: analyze is invariant under transpose, reversal, scaling
-and positive diagonal similarity, its symmetric and general solver routes
+and positive diagonal similarity, its report of 2^k m and the certificates of
+is_totally_nonnegative and kernel_tn_check on 2^k m are those of m scaled
+exactly, its symmetric and general solver routes
 agree, a matrix near its reversal splits into even and odd halves within
 the bound on its departure, its sign counts are those of the dense
 eigenvectors, the order-2
@@ -15,6 +17,7 @@ inputs and a failure reproduces; no example database is written. Without
 hypothesis installed this module is skipped.
 """
 
+from dataclasses import replace
 from itertools import permutations
 from math import frexp, ldexp
 
@@ -25,12 +28,15 @@ from wedgespec import (
     analyze,
     eigenpairs,
     eigenvalues,
+    is_totally_nonnegative,
     is_two_totally_nonnegative,
+    kernel_tn_check,
     minor,
     multiset_match,
     random_oscillatory,
     random_tn,
     sign_changes,
+    tabulated_kernel,
 )
 from wedgespec.positivity import _contiguous_order_two, _order_sweep
 from wedgespec.spectra import _ITERATION_TARGET, DEFAULT_TOL, _even_odd_blocks
@@ -82,10 +88,68 @@ def test_reversal(m):
     assert_same_report(analyze(m), analyze(m[::-1, ::-1]))
 
 
-@given(oscillatory(), st.integers(-40, 40))
+def _scaled_certificate(cert, k):
+    """``cert`` as it reads for 2^k m: an order-j witness times 2^(j k)."""
+    w = cert.witness
+    if w is None:
+        return cert
+    return replace(cert, witness=replace(w, value=ldexp(w.value, len(w.rows) * k)))
+
+
+def _scaled_value(z, k):
+    return complex(ldexp(z.real, k), ldexp(z.imag, k))
+
+
+# Every number is read on m 2^-e, which 2^k m shares, and scaled back once,
+# so the report of 2^k m is that of m with each reported number scaled exactly.
+# k stops at 400: from k = 511, rho_wedge = 4^k rho of random_oscillatory(6, 3)
+# no longer fits in float64, and analyze refuses.
+@given(oscillatory(), st.integers(-900, 400))
 def test_power_of_two_scaling(m, k):
-    c = 2.0 ** k
-    assert_same_report(analyze(m), analyze(c * m), c)
+    r = analyze(m)
+    assert analyze(ldexp(1.0, k) * m) == replace(
+        r,
+        lambda1=ldexp(r.lambda1, k),
+        lambda2=None if r.lambda2 is None else ldexp(r.lambda2, k),
+        complex_pair=None if r.complex_pair is None else tuple(
+            _scaled_value(z, k) for z in r.complex_pair),
+        rho_wedge=ldexp(r.rho_wedge, 2 * k),
+        hypothesis_certificates=tuple(
+            _scaled_certificate(c, k) for c in r.hypothesis_certificates),
+        spectrum=tuple(_scaled_value(z, k) for z in r.spectrum),
+    )
+
+
+@st.composite
+def bumped(draw):
+    """An oscillatory draw with one entry multiplied by -0.5, 0, 2 or 4:
+    some stay totally nonnegative, others fail at an order from 1 to n."""
+    m = random_oscillatory(draw(st.integers(3, 6)), seed=draw(st.integers(0, 2 ** 16)))
+    i, j = draw(st.integers(0, m.shape[0] - 1)), draw(st.integers(0, m.shape[0] - 1))
+    m[i, j] *= draw(st.sampled_from([-0.5, 0.0, 2.0, 4.0]))
+    return m
+
+
+@given(bumped(), st.integers(1, 6), st.integers(-150, 150))
+def test_certificate_power_of_two_scaling(m, j, k):
+    # minors are read on m 2^-e, so 2^k m gets the same verdict and witness
+    # position, and an order-j witness exactly 2^(j k) times the value
+    j = min(j, m.shape[0])
+    for sample in (False, True):
+        r = is_totally_nonnegative(m, j, sample=sample)
+        assert is_totally_nonnegative(ldexp(1.0, k) * m, j, sample=sample) == (
+            _scaled_certificate(r, k))
+
+
+@given(st.integers(0, 2 ** 16), st.integers(-300, 300))
+def test_kernel_certificate_power_of_two_scaling(seed, k):
+    # entries in [0.5, 1.5], so the order-1 minors pass and the sampled
+    # witness, when there is one, has order 2 or 3
+    t = (np.arange(30) + 0.5) / 30
+    table = 1.0 + 0.5 * np.cos(3.0 * np.pi * (t[:, None] - t[None, :]))
+    r = kernel_tn_check(tabulated_kernel(table), 30, 3, 100, seed)
+    s = kernel_tn_check(tabulated_kernel(ldexp(1.0, k) * table), 30, 3, 100, seed)
+    assert s == _scaled_certificate(r, k)
 
 
 # No tiny negative entries here: D m D^-1 rescales an entry -c * tol * max|m|
@@ -229,7 +293,7 @@ def test_order_two_scan_agrees_with_the_sweep(m):
         assert (cert.mode, cert.minors_evaluated) == ("exhaustive", len(cells))
         if cert.witness is not None:
             w = cert.witness
-            assert ldexp(w.value, e) == minor(m, w.rows, w.cols)
+            assert ldexp(w.value, 2 * e) == minor(m, w.rows, w.cols)
     elif m.min() >= 0.0:
         # undecided on nonnegative input only above tol (up to rounding)
         assert deficit > 0.5 * DEFAULT_TOL

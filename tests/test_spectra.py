@@ -1,5 +1,7 @@
 """Eigenvalue, Perron-pair, and multiset-matching behavior."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,14 @@ class TestEigenpairs:
         with pytest.raises(ConvergenceError, match="exceeds 1e-300"):
             eigenpairs(2.0 ** 900 * m, tol=1e-300)
 
+    def test_eigenvalue_past_the_float_range_is_refused(self):
+        # the eigenvalue 2e308 does not fit: the residual would be NaN, which
+        # no bound rejects, so finiteness is tested first, before any warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match="not finite"):
+                eigenpairs([[1e308, 1e308], [1e308, 1e308]])
+
     def test_order_matches_eigenvalues(self):
         rng = np.random.default_rng(3)
         m = rng.standard_normal((5, 5))
@@ -110,13 +120,13 @@ class TestEigenpairs:
 
 def _count_solvers(monkeypatch, n=None, of=None, sizes=False):
     """Record, by name, every dense numpy eigensolver call, or only those on
-    n x n input when ``n`` is given, or only those on the array ``of`` itself
-    when it is given; with ``sizes``, record (name, size) pairs."""
+    n x n input when ``n`` is given, or only those on an array equal to
+    ``of`` when it is given; with ``sizes``, record (name, size) pairs."""
     calls = []
 
     def counted(name, inner):
         def solve(a):
-            if (n is None or len(a) == n) and (of is None or a is of):
+            if (n is None or len(a) == n) and (of is None or np.array_equal(a, of)):
                 calls.append((name, len(a)) if sizes else name)
             return inner(a)
         return solve
@@ -339,6 +349,14 @@ class TestSpectralRadius:
 
 
 class TestPerronPair:
+    def test_root_past_the_float_range_is_refused(self):
+        # the iteration reads the matrix scaled by 2^-1024; only the root,
+        # 2e308, is scaled back, and it does not fit
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="the eigenvalues overflow float64"):
+                perron_pair(np.full((2, 2), 1e308))
+
     def test_symmetric_ones_vector(self):
         lam, v = perron_pair([[2.0, 1.0], [1.0, 2.0]])
         assert abs(lam - 3.0) <= 1e-8

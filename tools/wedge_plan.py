@@ -2,7 +2,9 @@
 
     python tools/wedge_plan.py
 
-For each input, one line: its size n, the route of its dense solve as read
+Each input is read as ``gk.analyze`` reads it, as c = m 2^-e with max|c| in
+[0.5, 1), an exact scaling. For each input, one line: its size n, the route
+of its dense solve as read
 off the numpy solver calls of ``ws.eigenvalues`` (``split a+b``: even and odd
 blocks of sizes a and b, for a symmetric matrix that equals its reversal;
 ``symmetric``; or ``general``), the column count p and the predicted step
@@ -16,6 +18,7 @@ or nearly tie: the [1, 2, 1] tridiagonal, ``uniform(0.5, 1)`` draws with a
 complex lambda2, and the Jordan block I + E, which is refused.
 """
 
+import math
 import sys
 from pathlib import Path
 
@@ -93,12 +96,13 @@ def observed_eigenvalues(m):
 def main():
     print(f"{'input':24} {'n':>4} {'dense':>13} {'p':>4} {'s(p)':>5} {'steps':>6}  converged")
     for name, m in inputs():
-        values, route = observed_eigenvalues(m)
+        c = np.ldexp(m, -math.frexp(float(np.abs(m).max()))[1])
+        values, route = observed_eigenvalues(c)
         moduli = np.abs(values)
         p, s = gk._wedge_plan(moduli)
         Counted.steps = 0
         try:
-            gk._wedge_radius(m.view(Counted), moduli)
+            gk._wedge_radius(c.view(Counted), moduli)
             converged = "yes"
         except ws.ConvergenceError:
             converged = "no"
