@@ -248,11 +248,13 @@ def analyze(m, tol=DEFAULT_TOL, circle_tol=DEFAULT_CIRCLE_TOL,
     seed : int
         A nonnegative integer, checked even when unused: the seed of the
         sampled order-2 hypothesis check. The scan of adjacent nonzero rows
-        decides every matrix with no negative entry unless Karlin's deficit
-        exceeds ``tol`` with no cell below the threshold; only such input,
-        or input with a negative entry, whose 2x2 minors also exceed the
-        exhaustive budget is sampled, and the certificate's mode then reads
-        "sampled".
+        reads the entries in the order-1 slack band and those whose products
+        fall below the normal range as zero, and decides every matrix with
+        no entry below -tol * max|m| unless Karlin's deficit plus the margin
+        of those entries exceeds ``tol`` with no cell below the threshold;
+        only such input, or input with an entry below -tol * max|m|, whose
+        2x2 minors also exceed the exhaustive budget is sampled, and the
+        certificate's mode then reads "sampled".
 
     Returns
     -------

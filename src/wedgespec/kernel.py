@@ -278,7 +278,10 @@ def kernel_tn_check(spec, sample_nodes, order, trials, seed, tol=DEFAULT_TOL):
     node tuples (rows and columns separately) of that length from a grid of
     ``sample_nodes`` midpoint points (builtin kernels) or from the stored
     nodes (tabulated kernels), evaluates the compound determinant, and
-    certifies the sampled set. The verdict is always mode="sampled"; the
+    certifies the sampled set. One generator, ``default_rng(seed)``, draws
+    every trial. ``sample_nodes`` is checked on every call as an integer
+    >= ``order``, as ``trials`` and ``seed`` are, even for a tabulated
+    kernel, which does not use it. The verdict is always mode="sampled"; the
     continuum condition quantifies over all tuples of every order and a
     finite check cannot be exhaustive.
     """
@@ -286,17 +289,15 @@ def kernel_tn_check(spec, sample_nodes, order, trials, seed, tol=DEFAULT_TOL):
     order = _check_int(order, "order", 1)
     trials = _check_int(trials, "trials", 1)
     seed = _check_int(seed, "seed", 0)
+    sample_nodes = _check_int(sample_nodes, "sample_nodes", order)
     if spec.kind == "builtin":
-        grid = _nodes(spec, _check_int(sample_nodes, "sample_nodes", order))
+        grid = _nodes(spec, sample_nodes)
     else:
         grid = _nodes(spec, spec.values.shape[0])
         if grid.size < order:
             raise ValidationError(
                 f"tabulated kernel has {grid.size} nodes, fewer than order {order}")
-    table = _kernel_table(spec, grid, grid)
-    rngs = (np.random.default_rng(np.random.SeedSequence(entropy=(seed, t)))
-            for t in range(trials))
-    return _sample_minors(table, 1, order, rngs, tol)
+    return _sample_minors(_kernel_table(spec, grid, grid), 1, order, trials, seed, tol)
 
 
 def exterior_grid(grid, force=False):

@@ -10,9 +10,7 @@ witness that does not fit in float64.
 """
 
 from dataclasses import dataclass, replace
-from itertools import repeat
 from math import comb, frexp, ldexp
-from sys import float_info
 from typing import Optional
 
 import numpy as np
@@ -45,9 +43,12 @@ class TNCertificate:
     the determinants actually computed, which for the order-2 scan of
     ``is_two_totally_nonnegative`` are its cells. "sampled" means a seeded
     random subset was evaluated, and the verdict certifies only the minors
-    seen; the order-2 hypothesis is sampled only behind a negative entry or
-    a Karlin deficit above tol, on input beyond the minor budget. On a false
-    verdict ``witness`` holds a violating minor.
+    seen; the order-2 hypothesis is sampled only where its scan does not
+    decide, on input beyond the minor budget: an entry below -tol * max|m|
+    with no witness among the cells, Karlin's deficit plus the margin of the
+    entries read as zero above tol (noisy rank-1 input, for one), or a worst
+    cell that is a violation only once those entries are read as zero. On a
+    false verdict ``witness`` holds a violating minor.
     """
 
     order_checked: int
@@ -99,28 +100,27 @@ def _order_sweep(m, j, thresh):
     return None, evaluated
 
 
-def _sample_minors(table, first, order, rngs, tol):
+def _sample_minors(table, first, order, samples, seed, tol):
     """Sampled certificate of a square table on minor orders first..order.
 
-    Each generator in ``rngs`` draws one minor: an order j in first..order,
-    then increasing row and column sets of length j. Each minor is read on
-    its submatrix of table 2^-e, max|table| 2^-e = frac in [0.5, 1), and
-    compared against -tol * frac^j; the most negative one below its
-    threshold is the witness, scaled back by ``_reported``.
+    One generator, ``default_rng(seed)``, draws ``samples`` minors, each an
+    order j in first..order, then increasing row and column sets of length
+    j. Each minor is read on its submatrix of table 2^-e,
+    max|table| 2^-e = frac in [0.5, 1), and compared against -tol * frac^j;
+    the most negative one below its threshold is the witness, scaled back
+    by ``_reported``.
     """
     count = table.shape[0]
     frac, e = frexp(float(np.abs(table).max()))
-    worst = None
-    evaluated = 0
-    for rng in rngs:
+    rng, worst = np.random.default_rng(seed), None
+    for _ in range(samples):
         j = int(rng.integers(first, order + 1))
         rows = tuple(sorted(rng.choice(count, size=j, replace=False).tolist()))
         cols = tuple(sorted(rng.choice(count, size=j, replace=False).tolist()))
         val = float(_det_stack(np.ldexp(table[np.ix_(rows, cols)], -e)[None, ...])[0])
-        evaluated += 1
         if val < -tol * frac ** j and (worst is None or val < worst.value):
             worst = MinorWitness(rows=rows, cols=cols, value=val)
-    return _reported(TNCertificate(order, worst is None, worst, evaluated, "sampled"), e)
+    return _reported(TNCertificate(order, worst is None, worst, samples, "sampled"), e)
 
 
 def is_totally_nonnegative(m, k, tol=DEFAULT_TOL, budget=MINOR_BUDGET, sample=False,
@@ -167,7 +167,7 @@ def is_totally_nonnegative(m, k, tol=DEFAULT_TOL, budget=MINOR_BUDGET, sample=Fa
     seed = _check_int(seed, "seed", 0)
     if sample:
         samples = _check_int(samples, "samples", 1)
-        return _sample_minors(m, 1, k, repeat(np.random.default_rng(seed), samples), tol)
+        return _sample_minors(m, 1, k, samples, seed, tol)
 
     estimate = _estimated_minors(n, k)
     if estimate > budget:
@@ -192,24 +192,34 @@ def _contiguous_order_two(m, frac, e, tol):
     value is 2^-2e times its minor, the minor of m 2^-e, as the sweep and
     the sampler report theirs.
 
-    Exactly zero rows are dropped. For each pair of adjacent remaining rows
-    f above h, the joint columns are those where (f, h) is not (0, 0), and a
-    cell is the 2x2 minor of f and h on two consecutive joint columns; when
-    no pair has a (0, 0) column these are the contiguous 2x2 minors of the
-    nonzero rows, (n-1)^2 of them on a strictly positive matrix. With 2^e
-    the power of two that puts amax * 2^-e = frac in [0.5, 1), each cell
-    [[a, b], [c, d]] gives bc = (b 2^-e) c and D = (a 2^-e) d - bc. Both
-    scalings are exact, so D is 2^-e times the cell's minor wherever that
-    minor's products are normal, and the scan decides a positive multiple
-    of ``m`` by a power of two as it decides ``m``. A cell with D below
-    2^-e * (-tol * amax^2) is a witness.
+    With 2^e the power of two that puts amax * 2^-e = frac in [0.5, 1), the
+    scan reads m as r, in which every entry in [-tol * amax, small) is zero:
+    the order-1 slack band, and the entries too small to multiply, with
+    small = 2^(floor((e - 1021) / 2) + 1) the power of two at and above
+    which the product (x 2^-e) y of two entries is a normal float. The
+    exactly zero rows of r are dropped. For each pair of adjacent remaining
+    rows f above h, the joint columns are those where (f, h) is not (0, 0),
+    and a cell is the 2x2 minor of f and h on two consecutive joint columns;
+    when no pair has a (0, 0) column these are the contiguous 2x2 minors of
+    the nonzero rows, (n-1)^2 of them on a strictly positive matrix. Each
+    cell [[a, b], [c, d]] gives bc = (b 2^-e) c and D = (a 2^-e) d - bc.
+    Both scalings are exact, so D is 2^-e times the cell's minor of r as
+    rounded arithmetic forms it, and the scan decides 2^k m as it decides m
+    wherever both read the same entries as zero. (small moves against amax
+    by about 2^(-k/2), so an entry near it can be read as zero at one scale
+    and not at another, and the witness position can then differ.) If the
+    most negative D is below 2^-e * (-tol * amax^2), that cell is read again
+    on m's four entries, in the same order of operations (so bit for bit
+    where nothing was flushed): it is the witness when that minor of m is
+    below the threshold too, and the scan does not decide otherwise.
 
-    Otherwise, on a matrix with no negative entry, Karlin's deficit (Total
-    Positivity, 1968) S = sum max(0, -D) / bc, the sum of 1 - ad / (bc) over
-    the cells with D < 0, formed in place on D, certifies when S <= tol. For
-    S < 1 every 2x2 minor on rows i < k and columns j < l is
+    Otherwise, when r has no negative entry (m none below -tol * amax),
+    Karlin's deficit (Total Positivity, 1968) S = sum max(0, -D) / bc, the
+    sum of 1 - ad / (bc) over the cells with D < 0, formed in place on D,
+    bounds the minors of r. For S < 1 every 2x2 minor of r on rows i < k
+    and columns j < l is
 
-        minor >= -S * m[i,l] * m[k,j] >= -S * amax^2,
+        minor >= -S * r[i,l] * r[k,j] >= -S * amax^2,
 
     and for S >= 1 (so tol >= 1) every minor is ad - bc >= -amax^2 anyway.
 
@@ -232,43 +242,62 @@ def _contiguous_order_two(m, frac, e, tol):
       (1 - x)(1 - y) >= 1 - x - y.
 
     A minor with f(l) = 0 or h(j) = 0 is f(j) h(l) >= 0, and one on a zero
-    row is 0. The computed deficits are exact to a few ulps when every
-    product of two nonzero entries is a normal float. So with a negative
-    entry, with a smallest nonzero entry tiny whose product
-    (tiny 2^-e) tiny is below the normal range, or with S above tol, the
-    scan does not decide.
+    row is 0.
+
+    Proof of the flush margin, for r with no negative entry. Write
+    m = r + E, with E nonzero only where r is zero, and let nu- <= tol * amax
+    and nu+ < small be the largest flushed negative and positive magnitudes
+    (nu+ <= amax too). Against r, a product x y of two entries of m moves
+    by 0 when neither is flushed, by r_x E_y with 0 <= r_x <= amax when one
+    is, and by E_x E_y when both are. So the
+    diagonal product of a minor moves by at least -amax nu- (or
+    -nu- nu+ >= -amax nu-), the other one by at most amax nu+ (or
+    max(nu+^2, nu-^2) <= amax nu+ + nu-^2), and
+
+        minor(m) >= minor(r) - amax (nu- + nu+) - nu-^2
+                 >= -(S + (nu- + nu+) / amax + (nu- / amax)^2) * amax^2.
+
+    So the scan certifies m when S plus that margin is at most tol; with
+    nothing flushed the margin is 0. With an entry below -tol * amax, or
+    with S plus the margin above tol, it does not decide.
     """
-    n = m.shape[0]
-    tiny, rows, joint = float(m.min()), np.arange(n), None
-    if tiny <= 0.0:  # drop the zero rows and find each pair's joint columns
-        nz = m != 0.0
-        tiny, rows = float(m.min(where=nz, initial=np.inf)), np.flatnonzero(nz.any(axis=1))
+    n, amax, low = m.shape[0], ldexp(frac, e), float(m.min())
+    small, thresh = ldexp(1.0, (e - 1021) // 2 + 1), ldexp(-tol * frac * frac, e)
+    r, rows, joint, margin = m, np.arange(n), None, 0.0
+    if low < small:  # read [-tol amax, small) as zero, drop zero rows, find joint columns
+        nz = (m < -tol * amax) | (m >= small)
+        neg, pos = -float(m.min(where=~nz, initial=0.0)), float(m.max(where=~nz, initial=0.0))
+        if neg or pos:
+            r, margin = np.where(nz, m, 0.0), (neg + pos) / amax + (neg / amax) ** 2
+        rows = np.flatnonzero(nz.any(axis=1))
         joint = nz[rows[:-1]] | nz[rows[1:]]
     if joint is None or joint.all():  # the contiguous cells of the nonzero rows
-        r = m if rows.size == n else m[rows]
-        a, b, c, d = r[:-1, :-1], r[:-1, 1:], r[1:, :-1], r[1:, 1:]
+        q = r if rows.size == n else r[rows]
+        a, b, c, d = q[:-1, :-1], q[:-1, 1:], q[1:, :-1], q[1:, 1:]
         p, lo, hi = np.arange(rows.size - 1)[:, None], np.arange(n - 1), np.arange(1, n)
     else:  # consecutive joint columns within each pair of rows
         p, col = np.divmod(np.flatnonzero(joint), n)
         same = p[1:] == p[:-1]
         p, lo, hi = p[:-1][same], col[:-1][same], col[1:][same]
-        a, b, c, d = m[rows[p], lo], m[rows[p], hi], m[rows[p + 1], lo], m[rows[p + 1], hi]
+        a, b, c, d = r[rows[p], lo], r[rows[p], hi], r[rows[p + 1], lo], r[rows[p + 1], hi]
     bc = np.ldexp(b, -e)
     bc *= c
     delta = np.ldexp(a, -e)
     delta *= d
     with np.errstate(over="ignore"):  # past the float range D is -inf: a witness refused
         delta -= bc
-    if delta.min(initial=0.0) < ldexp(-tol * frac * frac, e):
+    if delta.min(initial=0.0) < thresh:  # read the worst cell again on m
         t = np.unravel_index(int(np.argmin(delta)), delta.shape)
         p, lo, hi = (int(x[t]) for x in np.broadcast_arrays(p, lo, hi))
-        witness = MinorWitness((int(rows[p]), int(rows[p + 1])), (lo, hi),
-                               ldexp(float(delta[t]), -e))
-        return TNCertificate(2, False, witness, delta.size, "exhaustive")
+        i, k = int(rows[p]), int(rows[p + 1])
+        a, b, c, d = m[[i, i, k, k], [lo, hi, lo, hi]].tolist()
+        value = ldexp(a, -e) * d - ldexp(b, -e) * c
+        return TNCertificate(2, False, MinorWitness((i, k), (lo, hi), ldexp(value, -e)),
+                             delta.size, "exhaustive") if value < thresh else None
     with np.errstate(all="ignore"):  # a zero bc has D >= 0: fmin takes its inf or nan to 0
         np.divide(delta, bc, out=delta)
     np.fmin(delta, 0.0, out=delta)
-    decided = tiny >= 0.0 and ldexp(tiny, -e) * tiny >= float_info.min and -delta.sum() <= tol
+    decided = low >= -tol * amax and margin - delta.sum() <= tol
     return TNCertificate(2, True, None, delta.size, "exhaustive") if decided else None
 
 
@@ -281,13 +310,16 @@ def is_two_totally_nonnegative(m, tol=DEFAULT_TOL, budget=MINOR_BUDGET,
     exterior square). The order-2 check scans the 2x2 minors of adjacent
     nonzero rows on consecutive joint columns (see ``_contiguous_order_two``),
     scaled by the exact power of two 2^-e that puts max|m| 2^-e in
-    [0.5, 1), so a power-of-two multiple of ``m`` gets the same verdict and
-    witness position; ``minors_evaluated`` counts those cells, (n-1)^2 on a
-    strictly positive matrix and O(n) on a banded one. The scan decides at
-    every n when one of them is a violation, or when the matrix has no
-    negative entry and Karlin's deficit S = sum max(0, -D) / bc is at most
-    ``tol``. Only input it leaves undecided (a negative entry, or S above
-    ``tol`` with no cell below the threshold) is swept
+    [0.5, 1), so a power-of-two multiple of ``m`` gets the same verdict, and
+    the same witness position where both read the same entries as zero;
+    ``minors_evaluated`` counts those cells, (n-1)^2 on a
+    strictly positive matrix and O(n) on a banded one. The scan reads every
+    entry in [-tol * max|m|, small) as zero, the order-1 slack band and the
+    entries whose products would fall below the normal range, and decides at
+    every n when a cell is a violation of ``m``, or when no entry is below
+    -tol * max|m| and Karlin's deficit S = sum max(0, -D) / bc plus the
+    margin of the entries read as zero is at most ``tol``; the margin is 0
+    when none but exact zeros are. Only input it leaves undecided is swept
     exhaustively under the minor budget, and above the budget sampled with
     ``samples`` 2x2 minors from ``seed``; the certificate's mode says which.
     The sweep and the sampler read the minors of m 2^-e, the same exact
@@ -314,7 +346,7 @@ def is_two_totally_nonnegative(m, tol=DEFAULT_TOL, budget=MINOR_BUDGET,
     frac, e = frexp(amax)
     cert2 = _contiguous_order_two(m, frac, e, tol)
     if cert2 is None and comb(n, 2) ** 2 > budget:
-        return cert1, _sample_minors(m, 2, 2, repeat(np.random.default_rng(seed), samples), tol)
+        return cert1, _sample_minors(m, 2, 2, samples, seed, tol)
     if cert2 is None:
         witness, evaluated = _order_sweep(np.ldexp(m, -e), 2, -tol * frac * frac)
         cert2 = TNCertificate(2, witness is None, witness, evaluated, "exhaustive")

@@ -279,13 +279,13 @@ class TestKernelTNCheck:
         assert cert.witness is not None and cert.witness.value < 0
 
     def test_cosine_draw_stream_pinned(self):
-        # exact certificate: any change to the per-trial draw stream fails here
+        # exact certificate: any change to the one draw stream fails here
         t = (np.arange(40) + 0.5) / 40
         table = np.cos(np.pi * (t[:, None] - t[None, :]))
         cert = kernel_tn_check(tabulated_kernel(table), 40, 2, 500, seed=0)
-        assert cert == TNCertificate(2, False, MinorWitness((0,), (38,), table[0, 38]),
+        assert cert == TNCertificate(2, False, MinorWitness((37,), (2,), table[37, 2]),
                                      500, "sampled")
-        assert table[0, 38] == pytest.approx(-0.9876883405951377, abs=1e-15)
+        assert table[37, 2] == pytest.approx(-0.9238795325112867, abs=1e-15)
 
     def test_deterministic_per_seed(self):
         a = kernel_tn_check(GREEN, 32, 2, 50, seed=9)
@@ -302,6 +302,11 @@ class TestKernelTNCheck:
             kernel_tn_check(GREEN, 2, 3, 10, seed=0)  # sample_nodes < order
         with pytest.raises(ValidationError):
             kernel_tn_check(GREEN, 32, 2, 0, seed=0)
+        # sample_nodes is checked for a tabulated kernel too, which does not use it
+        for spec in (GREEN, tabulated_kernel(np.ones((8, 8)))):
+            for sample_nodes in ("junk", -3, 2.5, None):
+                with pytest.raises(ValidationError, match="^sample_nodes must be an integer"):
+                    kernel_tn_check(spec, sample_nodes, 2, 10, seed=0)
 
 
 class TestExteriorGrid:

@@ -56,14 +56,19 @@ def test_order_two_certificate_holds_at_most_three_squares(grid):
     assert _peak_squares(is_two_totally_nonnegative, grid) <= 3.0
 
 
-@pytest.mark.parametrize("diagonal", ["ones", "n..1"])
+@pytest.mark.parametrize("diagonal", ["ones", "n..1", "slack"])
 def test_order_two_certificate_of_a_tridiagonal_holds_at_most_three_squares(diagonal):
     # zeros send the scan to the gather of consecutive joint cells: index
     # arrays and cells of O(n) each, next to the n x n masks of nonzero
-    # entries and of the pairs' joint columns
+    # entries and of the pairs' joint columns; "slack" is [1, 2, 1] with
+    # m[0, 2] = -1e-9 in the order-1 slack band, which the scan reads as
+    # zero on one n x n copy
     e = np.eye(N, k=1)
-    d = 2.0 * np.ones(N) if diagonal == "ones" else np.arange(N, 0.0, -1.0)
-    assert _peak_squares(is_two_totally_nonnegative, np.diag(d) + e + e.T) <= 3.0
+    d = np.arange(N, 0.0, -1.0) if diagonal == "n..1" else 2.0 * np.ones(N)
+    m = np.diag(d) + e + e.T
+    if diagonal == "slack":
+        m[0, 2] = -1e-9
+    assert _peak_squares(is_two_totally_nonnegative, m) <= 3.0
 
 
 def test_exterior_square_holds_little_beyond_its_output():

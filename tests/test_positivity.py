@@ -13,6 +13,7 @@ from wedgespec import (
     TNCertificate,
     ValidationError,
     ZeroVectorError,
+    analyze,
     builtin_kernel,
     compound_matrix,
     discretize,
@@ -27,6 +28,7 @@ from wedgespec import (
 from wedgespec import positivity
 from wedgespec.compound import _det_stack
 from wedgespec.positivity import MINOR_BUDGET, MinorWitness, _neville_tn, _order_sweep
+from wedgespec.spectra import DEFAULT_TOL
 from tests.test_compound import det_laplace
 
 
@@ -61,6 +63,26 @@ def green_corner(n):
     m = discretize(builtin_kernel("green_string"), n).discretized.copy()
     m[0, n - 1] = -0.5 * float(np.abs(m).max())
     return m
+
+
+def slack_tridiagonal(n, c=0.5):
+    """The [1, 2, 1] tridiagonal with its (0, 2) zero set to -c tol amax, in
+    the order-1 slack band; c = 0.5 gives m[0, 2] = -1e-9 at the default
+    tol."""
+    e = np.eye(n, k=1)
+    m = 2.0 * np.eye(n) + e + e.T
+    m[0, 2] = -c * DEFAULT_TOL * 2.0
+    return m
+
+
+@pytest.fixture
+def scan_only(monkeypatch):
+    """The order-2 scan must decide: the sweep and the sampler raise."""
+    def refuse(*args):
+        raise AssertionError("the scan should decide")
+
+    monkeypatch.setattr(positivity, "_order_sweep", refuse)
+    monkeypatch.setattr(positivity, "_sample_minors", refuse)
 
 
 def plant(m, i, depth):
@@ -218,19 +240,16 @@ class TestTwoTotallyNonnegative:
         assert cert.mode == "sampled" and orders == [2] * 300
 
     @pytest.mark.parametrize("n", [30, 100, 300, 600])
-    def test_oscillatory_tridiagonals_are_certified_by_the_scan(self, n, monkeypatch):
-        # [1, 2, 1] and diag(n..1) + E + E^T: each adjacent pair of rows has
-        # at most four joint columns, so 3n - 5 cells decide at every n, and
-        # neither the sweep nor the sampler is reached
-        def refuse(*args):
-            raise AssertionError("the scan should decide")
-
-        monkeypatch.setattr(positivity, "_order_sweep", refuse)
-        monkeypatch.setattr(positivity, "_sample_minors", refuse)
+    def test_oscillatory_tridiagonals_are_certified_by_the_scan(self, n, scan_only):
+        # [1, 2, 1], diag(n..1) + E + E^T and [1, 2, 1] with m[0, 2] = -1e-9
+        # in the order-1 slack band, read as zero: each adjacent pair of rows
+        # has at most four joint columns, so 3n - 5 cells decide at every n,
+        # and neither the sweep nor the sampler is reached
         e = np.eye(n, k=1)
-        for m in (2.0 * np.eye(n) + e + e.T, np.diag(np.arange(n, 0.0, -1.0)) + e + e.T):
-            if n == 30:
-                assert compound_matrix(m, 2).min() >= 0.0
+        for m in (2.0 * np.eye(n) + e + e.T, np.diag(np.arange(n, 0.0, -1.0)) + e + e.T,
+                  slack_tridiagonal(n)):
+            if n == 30:  # 0, or the slack entry times the diagonal 2, within tol
+                assert compound_matrix(m, 2).min() == min(0.0, 2.0 * m[0, 2])
             c1, c2 = is_two_totally_nonnegative(m)
             assert c1.verdict
             assert c2 == TNCertificate(2, True, None, 3 * n - 5, "exhaustive")
@@ -242,6 +261,58 @@ class TestTwoTotallyNonnegative:
         w = cert.witness
         assert (w.rows[1] - w.rows[0], w.cols[1] - w.cols[0]) == (1, 1)
         assert w.value == minor(m, w.rows, w.cols) < 0
+
+
+class TestFlushedEntries:
+    """The scan reads entries in [-tol amax, small) as zero, with small the
+    power of two at and above which its products are normal floats, and
+    certifies when Karlin's deficit plus the margin of the flushed entries
+    is at most tol."""
+
+    @pytest.mark.parametrize("width, n, cells", [
+        (0.05, 100, 9771), (0.05, 300, 89059), (0.05, 600, 357395),
+        (0.02, 100, 6019), (0.02, 300, 54619), (0.02, 600, 218551)])
+    def test_narrow_gaussian_grids(self, scan_only, width, n, cells):
+        # the far corners, about exp(-1 / width^2) / n, square below the
+        # normal range; read as zero, they leave a band of joint cells
+        m = discretize(builtin_kernel("gaussian", width), n).discretized
+        c1, c2 = is_two_totally_nonnegative(m)
+        assert c1.verdict
+        assert c2 == TNCertificate(2, True, None, cells, "exhaustive")
+
+    def test_analyze_of_the_slack_tridiagonal(self, scan_only):
+        report = analyze(slack_tridiagonal(100))
+        assert report.classification == "second_eigenvalue_found"
+        assert report.hypothesis_certificates[1] == TNCertificate(2, True, None, 295,
+                                                                  "exhaustive")
+
+    def test_the_margin_decides_at_half_the_slack(self, scan_only):
+        # at -0.5 tol amax the margin is 0.5 tol + 0.25 tol^2
+        _, cert = is_two_totally_nonnegative(slack_tridiagonal(60, 0.5))
+        assert cert == TNCertificate(2, True, None, 175, "exhaustive")
+
+    def test_a_margin_above_tol_goes_to_the_sweep(self):
+        # at -tol amax the margin is tol + tol^2, so the cells alone do not
+        # decide, and the sweep counts every minor
+        _, cert = is_two_totally_nonnegative(slack_tridiagonal(60, 1.0))
+        assert cert == TNCertificate(2, True, None, comb(60, 2) ** 2, "exhaustive")
+
+    @pytest.mark.parametrize("k", [-300, 0, 300])
+    def test_products_below_the_normal_range_are_never_certified(self, k):
+        # the minor on rows (0, 1) and columns (0, 3) is -0.5, and the
+        # products of two eps entries underflow at scale 1
+        eps = 1e-170
+        m = np.array([[1.0, eps, eps, 1.0], [1.0, eps, eps / 2, 0.5],
+                      [0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 1.0, 1.0]])
+        _, cert = is_two_totally_nonnegative(2.0 ** k * m)
+        assert not cert.verdict
+        w = cert.witness
+        assert w.value == minor(2.0 ** k * m, w.rows, w.cols) < 0
+
+    def test_exact_zeros_flush_nothing_at_any_scale(self, scan_only):
+        e = np.eye(60, k=1)
+        _, cert = is_two_totally_nonnegative(2.0 ** -1000 * (2.0 * np.eye(60) + e + e.T))
+        assert cert == TNCertificate(2, True, None, 175, "exhaustive")
 
 
 class TestOrderTwoOracle:

@@ -253,19 +253,48 @@ def test_split_route_within_its_bound(case):
 def zero_laden(draw):
     """n <= 8: integer entries in 0..2, random_tn with a zeroed row, or
     random_tn with one entry moved by a relative 1e-11..1e-7, which puts
-    some 2x2 minors in the slack band."""
+    some 2x2 minors in the slack band. Up to three entries, zeros when there
+    are some, may then become positives below 2^-520 amax or negatives at
+    0.01, 0.5 or 1 times -tol * amax, and the matrix may be scaled by 2^k,
+    with max|m| kept in [2^-201, 2^499), where its 2x2 minors stay normal
+    floats."""
     n = draw(st.integers(2, 8))
     kind = draw(st.sampled_from(["integers", "zero_row", "nudged"]))
     if kind == "integers":
         cells = draw(st.lists(st.integers(0, 2), min_size=n * n, max_size=n * n))
-        return np.array(cells, dtype=float).reshape(n, n)
-    m = random_tn(n, seed=draw(st.integers(0, 2 ** 16)), factors=draw(st.integers(1, 3 * n)))
-    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
-    if kind == "zero_row":
-        m[i] = 0.0
+        m = np.array(cells, dtype=float).reshape(n, n)
     else:
-        m[i, j] *= 1.0 + draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-11, -7))
+        m = random_tn(n, seed=draw(st.integers(0, 2 ** 16)),
+                      factors=draw(st.integers(1, 3 * n)))
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if kind == "zero_row":
+            m[i] = 0.0
+        else:
+            m[i, j] *= 1.0 + draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-11, -7))
+    amax = float(np.abs(m).max())
+    zeros = np.argwhere(m == 0.0)
+    targets = zeros if zeros.size and draw(st.booleans()) else np.argwhere(np.ones(m.shape))
+    for _ in range(draw(st.integers(0, 3)) if amax else 0):
+        i, j = targets[draw(st.integers(0, len(targets) - 1))]
+        if draw(st.booleans()):
+            m[i, j] = ldexp(amax * draw(st.floats(0.5, 1.0)), -521)
+        else:
+            m[i, j] = -draw(st.sampled_from([0.01, 0.5, 1.0])) * DEFAULT_TOL * amax
+    if amax and draw(st.booleans()):
+        m = np.ldexp(m, draw(st.integers(-200, 499)) - frexp(amax)[1])
     return m
+
+
+def _flushed(m, tol):
+    """m as the order-2 scan reads it, every entry in [-tol * amax, small)
+    set to zero, and the margin (nu- + nu+) / amax + (nu- / amax)^2 of the
+    largest flushed negative and positive magnitudes."""
+    amax = float(np.abs(m).max())
+    flush = (m >= -tol * amax) & (m < ldexp(1.0, (frexp(amax)[1] - 1021) // 2 + 1))
+    neg = -float(m.min(where=flush, initial=0.0))
+    pos = float(m.max(where=flush, initial=0.0))
+    margin = (neg + pos) / amax + (neg / amax) ** 2 if neg or pos else 0.0
+    return np.where(flush, 0.0, m), margin
 
 
 def _cells(m):
@@ -282,21 +311,23 @@ def _cells(m):
 @hypothesis.settings(max_examples=400)
 @given(zero_laden())
 def test_order_two_scan_agrees_with_the_sweep(m):
-    amax = float(np.abs(m).max())
-    frac, e = frexp(amax)
+    frac, e = frexp(float(np.abs(m).max()))
     cert = _contiguous_order_two(m, frac, e, DEFAULT_TOL)
-    witness, _ = _order_sweep(m, 2, -DEFAULT_TOL * amax ** 2)
-    cells = _cells(m)
-    deficit = sum(1.0 - a * d / (b * c) for a, b, c, d in cells if a * d < b * c)
+    witness, _ = _order_sweep(np.ldexp(m, -e), 2, -DEFAULT_TOL * frac * frac)
+    r, margin = _flushed(m, DEFAULT_TOL)
+    cells = _cells(r)
     if cert is not None:
         assert cert.verdict == (witness is None)
         assert (cert.mode, cert.minors_evaluated) == ("exhaustive", len(cells))
         if cert.witness is not None:
             w = cert.witness
             assert ldexp(w.value, 2 * e) == minor(m, w.rows, w.cols)
-    elif m.min() >= 0.0:
-        # undecided on nonnegative input only above tol (up to rounding)
-        assert deficit > 0.5 * DEFAULT_TOL
+    elif r.min() >= 0.0:
+        # undecided on r >= 0 only when S plus the margin is above tol (up
+        # to rounding); products read as the scan forms them, (x 2^-e) y
+        ad = [(ldexp(a, -e) * d, ldexp(b, -e) * c) for a, b, c, d in cells]
+        deficit = sum(1.0 - x / y for x, y in ad if x < y)
+        assert deficit + margin > 0.5 * DEFAULT_TOL
     _, public = is_two_totally_nonnegative(m)
     assert public.verdict == (witness is None)
     if public.witness is not None:
