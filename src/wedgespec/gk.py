@@ -34,12 +34,13 @@ import numpy as np
 
 from . import compound
 from .errors import ConvergenceError, ValidationError
-from .positivity import SignChangeCount, is_two_totally_nonnegative, sign_changes
+from .positivity import SignChangeCount, _reported, is_two_totally_nonnegative, sign_changes
 from .spectra import (
     _ITERATION_TARGET,
     DEFAULT_TOL,
     _check_tol,
     _ritz_iteration,
+    _scaled,
     _unscaled,
     as_dense_matrix,
     eigenvalues,
@@ -217,14 +218,16 @@ def analyze(m, tol=DEFAULT_TOL, circle_tol=DEFAULT_CIRCLE_TOL,
     Ritz vectors, which carry its backward error of 1e-13 ||m||_F; no dense
     eigenvector is computed.
 
-    The certificates read m; the dense solve and the iteration read
-    c = m 2^-e, the exact scaling that puts max|c| in [0.5, 1), and every
-    threshold and cross-check compares numbers in those units. lambda1,
-    lambda2, rho_wedge and the spectrum are scaled back once, as they are
-    reported, so 2^k m gets the report of m scaled. The one refusal of scale
-    is a reported number that does not fit in float64: ValidationError when
-    lambda1 or rho_wedge overflows (rho_wedge of 2^k random_oscillatory(6, 3)
-    does from k = 511).
+    Every stage reads one c = m 2^-e, the exact scaling that puts max|c| in
+    [0.5, 1), formed first: the hypothesis certificates
+    (``is_two_totally_nonnegative`` of c, which reads it without a copy),
+    the dense solve and the iteration; every threshold and cross-check
+    compares numbers in those units. lambda1, lambda2, rho_wedge, the
+    spectrum and the certificates' witnesses are scaled back once, as they
+    are reported, so 2^k m gets the report of m scaled. The one refusal of
+    scale is a reported number that does not fit in float64:
+    ValidationError when a witness, lambda1 or rho_wedge overflows
+    (rho_wedge of 2^k random_oscillatory(6, 3) does from k = 511).
 
     Parameters
     ----------
@@ -248,8 +251,8 @@ def analyze(m, tol=DEFAULT_TOL, circle_tol=DEFAULT_CIRCLE_TOL,
     seed : int
         A nonnegative integer, checked even when unused: the seed of the
         sampled order-2 hypothesis check. The scan of adjacent nonzero rows
-        reads the entries in the order-1 slack band and those whose products
-        fall below the normal range as zero, and decides every matrix with
+        reads the entries of c in the order-1 slack band and those below
+        2^-511 as zero, and decides every matrix with
         no entry below -tol * max|m| unless Karlin's deficit plus the margin
         of those entries exceeds ``tol`` with no cell below the threshold;
         only such input, or input with an entry below -tol * max|m|, whose
@@ -269,13 +272,12 @@ def analyze(m, tol=DEFAULT_TOL, circle_tol=DEFAULT_CIRCLE_TOL,
         raise ValidationError("analysis needs dimension n >= 2")
     n = m.shape[0]
 
-    cert1, cert2 = is_two_totally_nonnegative(m, tol, seed=seed)
+    # every stage reads c = m 2^-e, max|c| = frac in [0.5, 1), and compares
+    # in those units; the reported numbers and witnesses are scaled back once
+    c, frac, e = _scaled(m)
+    cert1, cert2 = (_reported(x, e) for x in is_two_totally_nonnegative(c, tol, seed=seed))
     hypotheses_ok = cert1.verdict and cert2.verdict
 
-    # every spectral number is read on c = m 2^-e, max|c| = frac in [0.5, 1),
-    # and compared in those units; the reported ones are scaled back once
-    frac, e = math.frexp(float(np.abs(m).max()))
-    c = np.ldexp(m, -e)
     spectrum = eigenvalues(c)
     moduli = np.abs(spectrum)
     rho_wedge, lam_w, vectors = _wedge_radius(c, moduli)

@@ -10,7 +10,7 @@ witness that does not fit in float64.
 """
 
 from dataclasses import dataclass, replace
-from math import comb, frexp, ldexp
+from math import comb, frexp
 from typing import Optional
 
 import numpy as np
@@ -18,10 +18,17 @@ import numpy as np
 from .compound import _det_stack, _minor_blocks
 from .errors import GenerationError, ResourceLimitError, ValidationError, ZeroVectorError
 from .spectra import (DEFAULT_TOL, _check_int, _check_tol, _finite_vector, _negative_entry,
-                      _unscaled, as_dense_matrix)
+                      _scaled, _unscaled, as_dense_matrix)
 
 # Exhaustive minor enumeration is refused above this many determinants.
 MINOR_BUDGET = 10_000_000
+
+# The order-2 scan reads every entry of c below this as zero, so that each
+# product of two entries it keeps is a normal float, and forms its cells
+# about _BLOCK at a time, one block of adjacent row pairs; a quarter of that
+# where it may gather them, which holds about four times more per cell.
+_TINY = 2.0 ** -511
+_BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -176,8 +183,7 @@ def is_totally_nonnegative(m, k, tol=DEFAULT_TOL, budget=MINOR_BUDGET, sample=Fa
             f"{estimate} determinants, above the budget of {budget}; "
             "use a smaller k or sample=True"
         )
-    frac, e = frexp(float(np.abs(m).max()))
-    c, total = np.ldexp(m, -e), 0
+    (c, frac, e), total = _scaled(m), 0
     for j in range(1, k + 1):
         witness, evaluated = _order_sweep(c, j, -tol * frac ** j)
         total += evaluated
@@ -186,42 +192,43 @@ def is_totally_nonnegative(m, k, tol=DEFAULT_TOL, budget=MINOR_BUDGET, sample=Fa
     return _reported(TNCertificate(k, witness is None, witness, total, "exhaustive"), e)
 
 
-def _contiguous_order_two(m, frac, e, tol):
-    """Order-2 certificate from the 2x2 minors of adjacent nonzero rows on
-    consecutive joint columns, or None when they do not decide. A witness
-    value is 2^-2e times its minor, the minor of m 2^-e, as the sweep and
-    the sampler report theirs.
+def _contiguous_order_two(c, frac, tol):
+    """Order-2 certificate of c, with max|c| = frac in [0.5, 1), from the
+    2x2 minors of adjacent nonzero rows on consecutive joint columns, or None
+    when they do not decide. A witness value is the minor of c, as the sweep
+    and the sampler report theirs.
 
-    With 2^e the power of two that puts amax * 2^-e = frac in [0.5, 1), the
-    scan reads m as r, in which every entry in [-tol * amax, small) is zero:
-    the order-1 slack band, and the entries too small to multiply, with
-    small = 2^(floor((e - 1021) / 2) + 1) the power of two at and above
-    which the product (x 2^-e) y of two entries is a normal float. The
+    The scan reads c as r, in which every entry in [-tol * frac, 2^-511) is
+    zero: the order-1 slack band, and the entries too small to multiply, so
+    that every product of two entries it keeps is a normal float. The
     exactly zero rows of r are dropped. For each pair of adjacent remaining
     rows f above h, the joint columns are those where (f, h) is not (0, 0),
     and a cell is the 2x2 minor of f and h on two consecutive joint columns;
     when no pair has a (0, 0) column these are the contiguous 2x2 minors of
     the nonzero rows, (n-1)^2 of them on a strictly positive matrix. Each
-    cell [[a, b], [c, d]] gives bc = (b 2^-e) c and D = (a 2^-e) d - bc.
-    Both scalings are exact, so D is 2^-e times the cell's minor of r as
-    rounded arithmetic forms it, and the scan decides 2^k m as it decides m
-    wherever both read the same entries as zero. (small moves against amax
-    by about 2^(-k/2), so an entry near it can be read as zero at one scale
-    and not at another, and the witness position can then differ.) If the
-    most negative D is below 2^-e * (-tol * amax^2), that cell is read again
-    on m's four entries, in the same order of operations (so bit for bit
-    where nothing was flushed): it is the witness when that minor of m is
-    below the threshold too, and the scan does not decide otherwise.
+    cell [[a, b], [g, d]] gives bg = b g and D = a d - bg. The cells are
+    formed for one block of adjacent row pairs at a time, about ``_BLOCK``
+    cells where no entry is read as zero and a quarter of that otherwise:
+    from contiguous slices when no pair of the block has a (0, 0)
+    column, by a gather of its joint columns otherwise, and with the flushed
+    and dropped rows copied for that block only; the worst cell and the
+    deficit sum below are carried from block to block. Callers pass
+    m 2^-e, an exact scaling, so 2^k m is scanned as m is wherever that
+    scaling is exact. If the most negative D is below -tol * frac^2, that
+    cell is read again on c's four entries, in the same order of operations
+    (so bit for bit where nothing was flushed): it is the witness when that
+    minor of c is below the threshold too, and the scan does not decide
+    otherwise.
 
-    Otherwise, when r has no negative entry (m none below -tol * amax),
-    Karlin's deficit (Total Positivity, 1968) S = sum max(0, -D) / bc, the
-    sum of 1 - ad / (bc) over the cells with D < 0, formed in place on D,
+    Otherwise, when r has no negative entry (c none below -tol * frac),
+    Karlin's deficit (Total Positivity, 1968) S = sum max(0, -D) / bg, the
+    sum of 1 - ad / (bg) over the cells with D < 0, formed in place on D,
     bounds the minors of r. For S < 1 every 2x2 minor of r on rows i < k
     and columns j < l is
 
-        minor >= -S * r[i,l] * r[k,j] >= -S * amax^2,
+        minor >= -S * r[i,l] * r[k,j] >= -S * frac^2,
 
-    and for S >= 1 (so tol >= 1) every minor is ad - bc >= -amax^2 anyway.
+    and for S >= 1 (so tol >= 1) every minor is ad - bg >= -frac^2 anyway.
 
     Proof of the bound, for S < 1. For nonzero rows f above h let P(f, h)
     say: for all columns j < l with f(l) > 0 and h(j) > 0, f(j) > 0,
@@ -230,9 +237,9 @@ def _contiguous_order_two(m, frac, e, tol):
 
     - Adjacent rows. As S < 1, no deficit is 1. So along the joint columns
       the pair runs f-only, then both positive, then h-only: any other step
-      is a cell with ad = 0 < bc, whose deficit is 1. Hence j and l lie in
+      is a cell with ad = 0 < bg, whose deficit is 1. Hence j and l lie in
       the both-positive run, f(j) h(l) / (f(l) h(j)) is the product of the
-      ad / (bc) >= 1 - delta over its cells from j to l, and
+      ad / (bg) >= 1 - delta over its cells from j to l, and
       prod (1 - delta) >= 1 - sum delta for delta in [0, 1].
     - Chaining through a nonzero row g between f and h. Take z with
       g(z) > 0. If z > j, P(g, h) at (j, z) gives g(j) > 0. If z < j,
@@ -245,60 +252,60 @@ def _contiguous_order_two(m, frac, e, tol):
     row is 0.
 
     Proof of the flush margin, for r with no negative entry. Write
-    m = r + E, with E nonzero only where r is zero, and let nu- <= tol * amax
-    and nu+ < small be the largest flushed negative and positive magnitudes
-    (nu+ <= amax too). Against r, a product x y of two entries of m moves
-    by 0 when neither is flushed, by r_x E_y with 0 <= r_x <= amax when one
-    is, and by E_x E_y when both are. So the
-    diagonal product of a minor moves by at least -amax nu- (or
-    -nu- nu+ >= -amax nu-), the other one by at most amax nu+ (or
-    max(nu+^2, nu-^2) <= amax nu+ + nu-^2), and
+    c = r + E, with E nonzero only where r is zero, and let nu- <= tol * frac
+    and nu+ < 2^-511 be the largest flushed negative and positive magnitudes
+    (nu+ <= frac too). Against r, a product x y of two entries of c moves
+    by 0 when neither is flushed, by r_x E_y with 0 <= r_x <= frac when one
+    is, and by E_x E_y when both are. So the diagonal product of a minor
+    moves by at least -frac nu- (or -nu- nu+ >= -frac nu-), the other one by
+    at most frac nu+ (or max(nu+^2, nu-^2) <= frac nu+ + nu-^2), and
 
-        minor(m) >= minor(r) - amax (nu- + nu+) - nu-^2
-                 >= -(S + (nu- + nu+) / amax + (nu- / amax)^2) * amax^2.
+        minor(c) >= minor(r) - frac (nu- + nu+) - nu-^2
+                 >= -(S + (nu- + nu+) / frac + (nu- / frac)^2) * frac^2.
 
-    So the scan certifies m when S plus that margin is at most tol; with
-    nothing flushed the margin is 0. With an entry below -tol * amax, or
+    So the scan certifies c when S plus that margin is at most tol; with
+    nothing flushed the margin is 0. With an entry below -tol * frac, or
     with S plus the margin above tol, it does not decide.
     """
-    n, amax, low = m.shape[0], ldexp(frac, e), float(m.min())
-    small, thresh = ldexp(1.0, (e - 1021) // 2 + 1), ldexp(-tol * frac * frac, e)
-    r, rows, joint, margin = m, np.arange(n), None, 0.0
-    if low < small:  # read [-tol amax, small) as zero, drop zero rows, find joint columns
-        nz = (m < -tol * amax) | (m >= small)
-        neg, pos = -float(m.min(where=~nz, initial=0.0)), float(m.max(where=~nz, initial=0.0))
-        if neg or pos:
-            r, margin = np.where(nz, m, 0.0), (neg + pos) / amax + (neg / amax) ** 2
+    n, low, thresh = c.shape[0], float(c.min()), -tol * frac * frac
+    rows, nz, margin, total, worst, at, deficit = np.arange(n), None, 0.0, 0, thresh, None, 0.0
+    if low < _TINY:  # read [-tol frac, 2^-511) as zero and drop the zero rows
+        nz = (c < -tol * frac) | (c >= _TINY)
+        neg, pos = -float(c.min(where=~nz, initial=0.0)), float(c.max(where=~nz, initial=0.0))
+        margin = (neg + pos) / frac + (neg / frac) ** 2 if neg or pos else 0.0
         rows = np.flatnonzero(nz.any(axis=1))
-        joint = nz[rows[:-1]] | nz[rows[1:]]
-    if joint is None or joint.all():  # the contiguous cells of the nonzero rows
-        q = r if rows.size == n else r[rows]
-        a, b, c, d = q[:-1, :-1], q[:-1, 1:], q[1:, :-1], q[1:, 1:]
-        p, lo, hi = np.arange(rows.size - 1)[:, None], np.arange(n - 1), np.arange(1, n)
-    else:  # consecutive joint columns within each pair of rows
-        p, col = np.divmod(np.flatnonzero(joint), n)
-        same = p[1:] == p[:-1]
-        p, lo, hi = p[:-1][same], col[:-1][same], col[1:][same]
-        a, b, c, d = r[rows[p], lo], r[rows[p], hi], r[rows[p + 1], lo], r[rows[p + 1], hi]
-    bc = np.ldexp(b, -e)
-    bc *= c
-    delta = np.ldexp(a, -e)
-    delta *= d
-    with np.errstate(over="ignore"):  # past the float range D is -inf: a witness refused
-        delta -= bc
-    if delta.min(initial=0.0) < thresh:  # read the worst cell again on m
-        t = np.unravel_index(int(np.argmin(delta)), delta.shape)
-        p, lo, hi = (int(x[t]) for x in np.broadcast_arrays(p, lo, hi))
+    step = max(1, (_BLOCK if nz is None else _BLOCK // 4) // n)
+    for s in range(0, rows.size - 1, step):
+        block = rows[s:s + step + 1]
+        q = c[s:s + step + 1] if nz is None else np.where(nz[block], c[block], 0.0)
+        joint = None if nz is None else nz[block[:-1]] | nz[block[1:]]
+        if joint is None or joint.all():  # the contiguous cells of the block's rows
+            a, b, g, d = q[:-1, :-1], q[:-1, 1:], q[1:, :-1], q[1:, 1:]
+            p, lo, hi = np.arange(block.size - 1)[:, None], np.arange(n - 1), np.arange(1, n)
+        else:  # consecutive joint columns within each pair of rows
+            p, col = np.divmod(np.flatnonzero(joint), n)
+            same = p[1:] == p[:-1]
+            p, lo, hi = p[:-1][same], col[:-1][same], col[1:][same]
+            a, b, g, d = q[p, lo], q[p, hi], q[p + 1, lo], q[p + 1, hi]
+        bg = b * g
+        delta = a * d
+        delta -= bg
+        total += delta.size
+        if delta.min(initial=0.0) < worst:  # the most negative cell below thresh
+            t = np.unravel_index(int(np.argmin(delta)), delta.shape)
+            worst, at = float(delta[t]), [int(x[t]) for x in np.broadcast_arrays(s + p, lo, hi)]
+        with np.errstate(all="ignore"):  # a zero bg has D >= 0: fmin takes its inf or nan to 0
+            np.divide(delta, bg, out=delta)
+        deficit -= float(np.fmin(delta, 0.0, out=delta).sum())
+    if at is not None:  # read the worst cell again on c
+        p, lo, hi = at
         i, k = int(rows[p]), int(rows[p + 1])
-        a, b, c, d = m[[i, i, k, k], [lo, hi, lo, hi]].tolist()
-        value = ldexp(a, -e) * d - ldexp(b, -e) * c
-        return TNCertificate(2, False, MinorWitness((i, k), (lo, hi), ldexp(value, -e)),
-                             delta.size, "exhaustive") if value < thresh else None
-    with np.errstate(all="ignore"):  # a zero bc has D >= 0: fmin takes its inf or nan to 0
-        np.divide(delta, bc, out=delta)
-    np.fmin(delta, 0.0, out=delta)
-    decided = low >= -tol * amax and margin - delta.sum() <= tol
-    return TNCertificate(2, True, None, delta.size, "exhaustive") if decided else None
+        a, b, g, d = c[[i, i, k, k], [lo, hi, lo, hi]].tolist()
+        value = a * d - b * g
+        return TNCertificate(2, False, MinorWitness((i, k), (lo, hi), value),
+                             total, "exhaustive") if value < thresh else None
+    decided = low >= -tol * frac and margin + deficit <= tol
+    return TNCertificate(2, True, None, total, "exhaustive") if decided else None
 
 
 def is_two_totally_nonnegative(m, tol=DEFAULT_TOL, budget=MINOR_BUDGET,
@@ -307,27 +314,27 @@ def is_two_totally_nonnegative(m, tol=DEFAULT_TOL, budget=MINOR_BUDGET,
 
     Returns a pair of certificates: entrywise nonnegativity of the matrix
     itself, and nonnegativity of all its 2x2 minors (the entries of the
-    exterior square). The order-2 check scans the 2x2 minors of adjacent
-    nonzero rows on consecutive joint columns (see ``_contiguous_order_two``),
-    scaled by the exact power of two 2^-e that puts max|m| 2^-e in
-    [0.5, 1), so a power-of-two multiple of ``m`` gets the same verdict, and
-    the same witness position where both read the same entries as zero;
-    ``minors_evaluated`` counts those cells, (n-1)^2 on a
-    strictly positive matrix and O(n) on a banded one. The scan reads every
-    entry in [-tol * max|m|, small) as zero, the order-1 slack band and the
-    entries whose products would fall below the normal range, and decides at
-    every n when a cell is a violation of ``m``, or when no entry is below
-    -tol * max|m| and Karlin's deficit S = sum max(0, -D) / bc plus the
-    margin of the entries read as zero is at most ``tol``; the margin is 0
-    when none but exact zeros are. Only input it leaves undecided is swept
-    exhaustively under the minor budget, and above the budget sampled with
-    ``samples`` 2x2 minors from ``seed``; the certificate's mode says which.
-    The sweep and the sampler read the minors of m 2^-e, the same exact
-    scaling, and all three give their witness in those units. It is scaled
-    back once by 2^(2e) (``_reported``) to the correctly rounded minor of
-    ``m``; one that does not fit in float64 raises ValidationError, the only
-    refusal of scale. ``budget``, ``samples`` and ``seed`` are checked on
-    every call.
+    exterior square). Both read c = m 2^-e, the exact scaling that puts
+    max|c| = frac in [0.5, 1); input already in that range is read as
+    given, without a copy. So a power-of-two multiple of ``m`` gets the
+    same verdicts and witness positions wherever that scaling is exact. The
+    order-2 check scans the 2x2 minors of adjacent nonzero rows of c on
+    consecutive joint columns (see ``_contiguous_order_two``);
+    ``minors_evaluated`` counts those cells, (n-1)^2 on a strictly positive
+    matrix and O(n) on a banded one. The scan reads every entry of c in
+    [-tol * frac, 2^-511) as zero, the order-1 slack band and the entries
+    whose products would fall below the normal range, and decides at every
+    n when a cell is a violation of c, or when no entry is below
+    -tol * frac and Karlin's deficit plus the margin of the entries read as
+    zero is at most ``tol``; the margin is 0 when none but exact zeros are.
+    Only input it leaves undecided is swept exhaustively under the minor
+    budget, and above the budget sampled with ``samples`` 2x2 minors from
+    ``seed``; the certificate's mode says which. The sweep and the sampler
+    read the minors of the same c, and every witness is scaled back once by
+    2^(j e) (``_reported``): an order-2 one to the correctly rounded minor
+    of ``m``, and one that does not fit in float64 raises ValidationError,
+    the only refusal of scale. ``budget``, ``samples`` and ``seed`` are
+    checked on every call.
     """
     m = as_dense_matrix(m)
     _check_tol(tol)
@@ -337,20 +344,19 @@ def is_two_totally_nonnegative(m, tol=DEFAULT_TOL, budget=MINOR_BUDGET,
     n = m.shape[0]
     if n < 2:
         raise ValidationError("the order-2 hypothesis needs dimension n >= 2")
-    amax = float(np.abs(m).max())
+    c, frac, e = _scaled(m)
 
-    neg = _negative_entry(m, tol, amax)
+    neg = _negative_entry(c, tol, frac)
     witness = None if neg is None else MinorWitness((neg[0],), (neg[1],), neg[2])
     cert1 = TNCertificate(1, neg is None, witness, n * n, "exhaustive")
 
-    frac, e = frexp(amax)
-    cert2 = _contiguous_order_two(m, frac, e, tol)
+    cert2 = _contiguous_order_two(c, frac, tol)
     if cert2 is None and comb(n, 2) ** 2 > budget:
-        return cert1, _sample_minors(m, 2, 2, samples, seed, tol)
-    if cert2 is None:
-        witness, evaluated = _order_sweep(np.ldexp(m, -e), 2, -tol * frac * frac)
+        cert2 = _sample_minors(c, 2, 2, samples, seed, tol)
+    elif cert2 is None:
+        witness, evaluated = _order_sweep(c, 2, -tol * frac * frac)
         cert2 = TNCertificate(2, witness is None, witness, evaluated, "exhaustive")
-    return cert1, _reported(cert2, e)
+    return _reported(cert1, e), _reported(cert2, e)
 
 
 def sign_changes(v, tol=DEFAULT_TOL):

@@ -166,6 +166,15 @@ def _frobenius(m):
     return float(np.linalg.norm(m / s)) * s
 
 
+def _scaled(m):
+    """``(c, frac, e)``: c = m 2^-e, the exact scaling that puts
+    max|c| = frac in [0.5, 1), read on by every stage that compares numbers
+    in those units; ``m`` itself, not a copy, when it is in that range
+    already or zero (e = 0)."""
+    frac, e = math.frexp(max(float(m.max()), -float(m.min())))
+    return (m if e == 0 else np.ldexp(m, -e)), frac, e
+
+
 def _unscaled(x, e, what):
     """``x * 2^e``: a number read on a matrix scaled by an exact power of two,
     scaled back once, where it is reported. ValidationError names ``what``
@@ -423,7 +432,9 @@ def perron_pair(m, tol=DEFAULT_TOL, max_iter=None):
         ``tol * ||m||_F`` counts as zero. It also sets the tolerances of the
         dense fallback, but not the iteration's residual target.
     max_iter : int, optional
-        Iteration cap, a positive integer; default 100 * n.
+        Iteration cap, a positive integer; default 4 n + 100. A step does
+        O(n^2) work, so an iteration that stalls, as on the [1, 2, 1]
+        tridiagonal, costs O(n^3), the order of its dense fallback.
 
     Returns
     -------
@@ -442,7 +453,7 @@ def perron_pair(m, tol=DEFAULT_TOL, max_iter=None):
     m = as_dense_matrix(m)
     _check_tol(tol)
     n = m.shape[0]
-    max_iter = 100 * n if max_iter is None else _check_int(max_iter, "max_iter", 1)
+    max_iter = 4 * n + 100 if max_iter is None else _check_int(max_iter, "max_iter", 1)
     require_nonnegative(m, tol)
     # the clipped copy, scaled in place by the exact 2^-e that puts its
     # maximum in [0.5, 1), is what every step reads; rho is scaled back once
@@ -509,12 +520,11 @@ class MatchReport:
 def multiset_match(a, b, tol):
     """Match two spectra as multisets within ``tol * max modulus``.
 
-    A greedy pass walks ``a`` in canonical (modulus-descending) order and
-    pairs each value with the nearest unmatched value of ``b`` within that
-    threshold. Where it leaves values unmatched on both sides, augmenting
-    paths over all pairs within the threshold complete it to a matching of
-    maximum size, so a pairing within the threshold is found whenever one
-    exists. Success requires equal cardinality and no leftovers.
+    Augmenting paths over all pairs within that threshold, from each value
+    of ``a`` in canonical (modulus-descending) order and trying the nearest
+    values of ``b`` first, build a matching of maximum size (``_augment``),
+    so a pairing within the threshold is found whenever one exists. Success
+    requires equal cardinality and no leftovers.
     """
     _check_tol(tol)
     av = sort_spectrum(np.asarray(a, dtype=complex))
@@ -523,14 +533,7 @@ def multiset_match(a, b, tol):
 
     partner = np.full(av.size, -1)  # index into bv, -1 when unmatched
     owner = np.full(bv.size, -1)  # index into av, -1 when unmatched
-    for i, x in enumerate(av):
-        idx = np.flatnonzero(owner < 0)
-        if idx.size:
-            k = int(idx[np.argmin(np.abs(bv[idx] - x))])
-            if abs(bv[k] - x) <= thresh:
-                partner[i], owner[k] = k, i
-    if (partner < 0).any() and (owner < 0).any():
-        _augment(av, bv, thresh, partner, owner)
+    _augment(av, bv, thresh, partner, owner)
 
     hit = np.flatnonzero(partner >= 0)
     pairs = tuple((complex(av[i]), complex(bv[partner[i]])) for i in hit)
@@ -553,14 +556,20 @@ def _augment(av, bv, thresh, partner, owner):
 
     For each unmatched value of ``av``, a depth-first search over pairs within
     ``thresh`` looks for an alternating path to an unmatched value of ``bv``
-    and flips it (Kuhn's algorithm). Neighbour lists are built on demand.
+    and flips it (Kuhn's algorithm). A value's neighbours are listed when the
+    search first asks for one: its nearest free neighbour, then all of them,
+    nearest first. So a value with a free neighbour matches directly, as
+    every value of a run of equal ones does, without sorting its neighbours
+    or walking a path through the earlier values.
     """
-    cache = {}
 
     def near(i):
-        if i not in cache:
-            cache[i] = np.flatnonzero(np.abs(bv - av[i]) <= thresh)
-        return iter(cache[i])
+        gap = np.abs(bv - av[i])
+        k = np.flatnonzero(gap <= thresh)
+        free = k[owner[k] < 0]
+        if free.size:
+            yield free[np.argmin(gap[free])]
+        yield from k[np.argsort(gap[k], kind="stable")]
 
     for root in np.flatnonzero(partner < 0):
         seen = np.zeros(bv.size, dtype=bool)

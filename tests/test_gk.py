@@ -16,6 +16,7 @@ from wedgespec import (
     eigenpairs,
     eigenvalues,
     exterior_square,
+    is_two_totally_nonnegative,
     random_oscillatory,
     random_tn,
     report_to_dict,
@@ -34,7 +35,7 @@ from wedgespec.gk import (
     _to_json,
 )
 
-from .test_positivity import green_corner, planted_green
+from .test_positivity import green_corner, planted_green, slack_ramp, slack_tridiagonal
 from .test_spectra import _count_solvers
 
 THREE_CYCLE = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
@@ -200,7 +201,24 @@ class TestAnalyzeExamples:
         assert (cert.witness.rows, cert.witness.cols) == ((50, 51), (50, 51))
 
 
+def _certificate_inputs():
+    yield "oscillatory", random_oscillatory(6, seed=3)
+    yield "tiny", 2.0 ** -540 * random_oscillatory(6, seed=3)
+    yield "planted", planted_green()
+    yield "corner", green_corner(40)
+    yield "slack", slack_tridiagonal(60)
+    yield "ramp", 2.0 ** 300 * slack_ramp(80)
+    yield "narrow", discretize(builtin_kernel("gaussian", 0.05), 100).discretized
+    yield "uniform", np.random.default_rng(0).uniform(0.5, 1.0, (30, 30))
+
+
 class TestAnalyzeProperties:
+    @pytest.mark.parametrize("m", [m for _, m in _certificate_inputs()],
+                             ids=[name for name, _ in _certificate_inputs()])
+    def test_certificates_are_those_of_the_public_check(self, m):
+        # analyze hands the check its scaled c and scales the witnesses back
+        assert analyze(m).hypothesis_certificates == is_two_totally_nonnegative(m)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_scale_equivariance(self, seed):
         m = random_tn(4, seed=2000 + seed, factors=12)
@@ -777,6 +795,22 @@ def _ritz_residual(a, x):
 def _tridiagonal(n):
     """The [1, 2, 1] Toeplitz tridiagonal: |lambda_3 / lambda_2| -> 1 as n grows."""
     return 2.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)
+
+
+def test_perron_budget_grows_like_n(monkeypatch, qr_calls):
+    # power iteration on the [1, 2, 1] tridiagonal converges at the rate
+    # lambda2 / lambda1, about 1 - 3 pi^2 / (4 n^2), so it stalls through its
+    # default budget of 4 n + 100 steps, one QR each after the QR of the
+    # start column, and the dense solve decides
+    from wedgespec import perron_pair
+
+    n = 300
+    seen = _record_iterations(monkeypatch)
+    rho, v = perron_pair(_tridiagonal(n))
+    assert [(k, ok) for _, k, (_, _, ok) in seen] == [(1, False)]
+    assert len(qr_calls) == 1 + 4 * n + 100
+    assert rho == pytest.approx(2.0 + 2.0 * math.cos(math.pi / (n + 1)), rel=1e-12)
+    assert v.min() >= 0.0
 
 
 class TestWedgePlan:

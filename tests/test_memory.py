@@ -51,8 +51,8 @@ def test_eigenvalues_hold_at_most_one_square(grid):
 
 
 def test_order_two_certificate_holds_at_most_three_squares(grid):
-    # the scan holds two squares, the scaled off-diagonal products bc and the
-    # contiguous minors D, and forms the cross-ratio deficits in place on D
+    # the scan holds the products bg and the contiguous minors D of one block
+    # of row pairs, and forms the cross-ratio deficits in place on D
     assert _peak_squares(is_two_totally_nonnegative, grid) <= 3.0
 
 
@@ -68,6 +68,19 @@ def test_order_two_certificate_of_a_tridiagonal_holds_at_most_three_squares(diag
     m = np.diag(d) + e + e.T
     if diagonal == "slack":
         m[0, 2] = -1e-9
+    assert _peak_squares(is_two_totally_nonnegative, m) <= 3.0
+
+
+@pytest.mark.parametrize("kind", ["narrow", "joint"])
+def test_order_two_gather_holds_at_most_three_squares(kind):
+    # the width-0.05 gaussian grid, whose far corners the scan reads as zero,
+    # and a uniform draw whose first two rows share a (0, 0) column: both
+    # take the gather of joint cells, formed one block of row pairs at a time
+    if kind == "narrow":
+        m = discretize(builtin_kernel("gaussian", 0.05), N).discretized
+    else:
+        m = np.random.default_rng(0).uniform(0.5, 1.0, (N, N))
+        m[0:2, 5] = 0.0
     assert _peak_squares(is_two_totally_nonnegative, m) <= 3.0
 
 

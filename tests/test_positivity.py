@@ -264,14 +264,14 @@ class TestTwoTotallyNonnegative:
 
 
 class TestFlushedEntries:
-    """The scan reads entries in [-tol amax, small) as zero, with small the
-    power of two at and above which its products are normal floats, and
-    certifies when Karlin's deficit plus the margin of the flushed entries
-    is at most tol."""
+    """The scan reads the entries of c = m 2^-e in [-tol frac, 2^-511) as
+    zero, so that its products are normal floats, and certifies when
+    Karlin's deficit plus the margin of the flushed entries is at most
+    tol."""
 
     @pytest.mark.parametrize("width, n, cells", [
-        (0.05, 100, 9771), (0.05, 300, 89059), (0.05, 600, 357395),
-        (0.02, 100, 6019), (0.02, 300, 54619), (0.02, 600, 218551)])
+        (0.05, 100, 9781), (0.05, 300, 89129), (0.05, 600, 357611),
+        (0.02, 100, 6019), (0.02, 300, 54619), (0.02, 600, 219299)])
     def test_narrow_gaussian_grids(self, scan_only, width, n, cells):
         # the far corners, about exp(-1 / width^2) / n, square below the
         # normal range; read as zero, they leave a band of joint cells
@@ -297,16 +297,19 @@ class TestFlushedEntries:
         _, cert = is_two_totally_nonnegative(slack_tridiagonal(60, 1.0))
         assert cert == TNCertificate(2, True, None, comb(60, 2) ** 2, "exhaustive")
 
-    @pytest.mark.parametrize("k", [-300, 0, 300])
+    @pytest.mark.parametrize("k", [-300, 0, 300, 500])
     def test_products_below_the_normal_range_are_never_certified(self, k):
         # the minor on rows (0, 1) and columns (0, 3) is -0.5, and the
-        # products of two eps entries underflow at scale 1
+        # products of two eps entries underflow at scale 1; the eps entries
+        # are read as zero relative to max|m|, so every scale gets the
+        # witness and the four cells of scale 1
         eps = 1e-170
         m = np.array([[1.0, eps, eps, 1.0], [1.0, eps, eps / 2, 0.5],
                       [0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 1.0, 1.0]])
         _, cert = is_two_totally_nonnegative(2.0 ** k * m)
-        assert not cert.verdict
+        assert (cert.verdict, cert.minors_evaluated) == (False, 4)
         w = cert.witness
+        assert (w.rows, w.cols) == ((0, 1), (0, 3))
         assert w.value == minor(2.0 ** k * m, w.rows, w.cols) < 0
 
     def test_exact_zeros_flush_nothing_at_any_scale(self, scan_only):

@@ -254,7 +254,8 @@ def zero_laden(draw):
     """n <= 8: integer entries in 0..2, random_tn with a zeroed row, or
     random_tn with one entry moved by a relative 1e-11..1e-7, which puts
     some 2x2 minors in the slack band. Up to three entries, zeros when there
-    are some, may then become positives below 2^-520 amax or negatives at
+    are some, may then become positives between 2^-513 amax and 2^-509 amax,
+    on both sides of the scan's zero threshold, or negatives at
     0.01, 0.5 or 1 times -tol * amax, and the matrix may be scaled by 2^k,
     with max|m| kept in [2^-201, 2^499), where its 2x2 minors stay normal
     floats."""
@@ -277,7 +278,7 @@ def zero_laden(draw):
     for _ in range(draw(st.integers(0, 3)) if amax else 0):
         i, j = targets[draw(st.integers(0, len(targets) - 1))]
         if draw(st.booleans()):
-            m[i, j] = ldexp(amax * draw(st.floats(0.5, 1.0)), -521)
+            m[i, j] = ldexp(amax * draw(st.floats(0.5, 1.0)), draw(st.integers(-512, -509)))
         else:
             m[i, j] = -draw(st.sampled_from([0.01, 0.5, 1.0])) * DEFAULT_TOL * amax
     if amax and draw(st.booleans()):
@@ -285,16 +286,17 @@ def zero_laden(draw):
     return m
 
 
-def _flushed(m, tol):
-    """m as the order-2 scan reads it, every entry in [-tol * amax, small)
-    set to zero, and the margin (nu- + nu+) / amax + (nu- / amax)^2 of the
-    largest flushed negative and positive magnitudes."""
-    amax = float(np.abs(m).max())
-    flush = (m >= -tol * amax) & (m < ldexp(1.0, (frexp(amax)[1] - 1021) // 2 + 1))
-    neg = -float(m.min(where=flush, initial=0.0))
-    pos = float(m.max(where=flush, initial=0.0))
-    margin = (neg + pos) / amax + (neg / amax) ** 2 if neg or pos else 0.0
-    return np.where(flush, 0.0, m), margin
+def _flushed(c, tol):
+    """c, with max|c| = frac in [0.5, 1), as the order-2 scan reads it,
+    every entry in [-tol * frac, 2^-511) set to zero, and the margin
+    (nu- + nu+) / frac + (nu- / frac)^2 of the largest flushed negative and
+    positive magnitudes."""
+    frac = float(np.abs(c).max())
+    flush = (c >= -tol * frac) & (c < 2.0 ** -511)
+    neg = -float(c.min(where=flush, initial=0.0))
+    pos = float(c.max(where=flush, initial=0.0))
+    margin = (neg + pos) / frac + (neg / frac) ** 2 if neg or pos else 0.0
+    return np.where(flush, 0.0, c), margin
 
 
 def _cells(m):
@@ -312,9 +314,10 @@ def _cells(m):
 @given(zero_laden())
 def test_order_two_scan_agrees_with_the_sweep(m):
     frac, e = frexp(float(np.abs(m).max()))
-    cert = _contiguous_order_two(m, frac, e, DEFAULT_TOL)
-    witness, _ = _order_sweep(np.ldexp(m, -e), 2, -DEFAULT_TOL * frac * frac)
-    r, margin = _flushed(m, DEFAULT_TOL)
+    c = np.ldexp(m, -e)
+    cert = _contiguous_order_two(c, frac, DEFAULT_TOL)
+    witness, _ = _order_sweep(c, 2, -DEFAULT_TOL * frac * frac)
+    r, margin = _flushed(c, DEFAULT_TOL)
     cells = _cells(r)
     if cert is not None:
         assert cert.verdict == (witness is None)
@@ -324,8 +327,8 @@ def test_order_two_scan_agrees_with_the_sweep(m):
             assert ldexp(w.value, 2 * e) == minor(m, w.rows, w.cols)
     elif r.min() >= 0.0:
         # undecided on r >= 0 only when S plus the margin is above tol (up
-        # to rounding); products read as the scan forms them, (x 2^-e) y
-        ad = [(ldexp(a, -e) * d, ldexp(b, -e) * c) for a, b, c, d in cells]
+        # to rounding); products read as the scan forms them, on c
+        ad = [(a * d, b * g) for a, b, g, d in cells]
         deficit = sum(1.0 - x / y for x, y in ad if x < y)
         assert deficit + margin > 0.5 * DEFAULT_TOL
     _, public = is_two_totally_nonnegative(m)

@@ -504,6 +504,22 @@ class TestMultisetMatch:
         assert rep.leftover_a == (1 - 5 * t + 0j,)
         assert rep.leftover_b == (1 + 5 * t + 0j,)
 
+    def test_equal_values_match_without_long_paths(self, monkeypatch):
+        # all gaps are tied; each value of a takes its nearest free partner
+        # at once, with no neighbour list sorted, where a search through the
+        # owned ones first walks a path through every earlier value (about
+        # N^3 / 6 steps)
+        sorts, inner = [], np.argsort
+
+        def counted(*args, **kwargs):
+            sorts.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counted)
+        rep = multiset_match([1.0] * 900, [1.0] * 900, tol=1e-12)
+        assert rep.matched and rep.max_residual == 0.0
+        assert sorts == []  # no value searched past its nearest free one
+
 
 def test_sort_spectrum_total_order():
     # all on the unit circle: tie broken by argument ascending in (-pi, pi]
